@@ -1,108 +1,65 @@
-// doinn_serve — long-lived serving front end for the DOINN inference
-// runtime, built on the dynamic-batching request scheduler.
+// doinn_serve — long-lived TCP serving front end for the DOINN inference
+// runtime: one runtime::EnginePool behind the epoll server of
+// src/net/server.h.
 //
-//   doinn_serve --weights weights.bin --manifest requests.txt
-//               [--results results.txt] [--threads N] [--precision fp32]
-//               [--poll-ms 50] [--max-batch 8] [--max-delay-us 2000]
-//               [--queue-cap 64] [--adaptive-delay] [--once]
-//               [--trace-out trace.json] [--metrics-out metrics.json]
-//   doinn_serve --weights weights.bin --listen <port> [--idle-timeout-s 60]
-//               [same tuning flags]
-//   doinn_serve --models registry.txt [--default-model NAME]
-//               (--manifest ... | --listen <port>) [same tuning flags]
+//   doinn_serve --weights weights.bin --listen <port> [--replicas 1]
+//               [--precision fp32|int8|bf16] [tuning/observability flags]
+//   doinn_serve --models registry.txt [--default-model NAME] --listen <port>
+//               [tuning/observability flags]
 //
-// --models serves several models from one process through a
-// runtime::EnginePool: the registry file maps model names to checkpoints
-// (`<name> <checkpoint> [fp32|int8|bf16] [replicas]` per line; see
-// src/runtime/engine_pool.h). Replicas of a model share one set of
-// prepacked weights, so extra replicas cost arenas, not weight memory.
-// Socket clients route with the protocol-v2 model field; manifest lines
-// route with a `model:<name>` first field. Requests naming no model go to
-// --default-model (default: the registry's first entry). --replicas N
-// serves N replicas of a single --weights model without a registry file.
+// Every model is served through the same core, an EnginePool: --models
+// reads a registry file (`<name> <checkpoint> [fp32|int8|bf16] [replicas]`
+// per line; see src/runtime/engine_pool.h), and --weights is a one-line
+// registry — model `default` at --precision with --replicas replicas.
+// Replicas of a model share one set of prepacked weights, so extra
+// replicas cost arenas, not weight memory. Within a model, requests go to
+// the replica with the shortest queue.
 //
-// --precision selects the inference storage precision (fp32 default; int8
-// and bf16 trade accuracy for speed — docs/ARCHITECTURE.md "Precision
-// modes"). Weights are prepacked into the GEMM panel layout at load for
-// every mode.
-//
-// Two front ends share the scheduler-backed serving core:
-//
-//   manifest mode (--manifest) watches a request manifest: a text file
-//   with one request per line, `<mask_path> <out_path>` (masks are 8-bit
-//   PGM, outputs are written as binarized contour PGMs). Lines are
-//   consumed in order; new lines appended while the server runs are
-//   picked up on the next poll, so a producer can stream work in. Only
-//   newline-terminated lines are consumed (a line still being appended
-//   waits for the next poll), and a truncated/rotated manifest is
-//   detected and reprocessed from the start (apps/manifest_tail.h).
-//
-//   socket mode (--listen <port>, 0 for an ephemeral port printed on
-//   startup) runs the epoll TCP front end of src/net/server.h: clients
-//   send framed mask images and receive framed contours (see
-//   src/net/protocol.h; apps/doinn_client.cpp is a ready-made client).
-//   Backpressure is reject-based — a full scheduler queue yields an
-//   immediate BUSY reply instead of blocking the event loop. SIGINT/
-//   SIGTERM (or a client SHUTDOWN frame) drain and stop.
-//
-// Concurrency model: the main thread reads masks and submits them to a
-// runtime::Scheduler, whose dispatcher coalesces queued tile-sized masks
-// into single predict_batch calls (flushing on --max-batch or the
+// Clients send framed mask images and receive framed contours (see
+// src/net/protocol.h; apps/doinn_client.cpp is a ready-made client).
+// Protocol-v2 frames route by their model field; v1 frames and empty
+// names go to --default-model (default: the registry's first entry).
+// --listen 0 binds an ephemeral port; the `listening on port N` line on
+// stdout reports it. Each replica's scheduler coalesces queued tile-sized
+// masks into one predict_batch call (flushing on --max-batch or the
 // --max-delay-us deadline) and routes oversized masks to the parallel
-// large-tile path. Results are bitwise identical to per-request predict
-// regardless of how requests were coalesced. A writer thread consumes
-// completed futures in submission order and appends to the results file.
+// large-tile path; results are bitwise identical to per-request predict
+// however requests were coalesced or routed.
 //
-// Backpressure: the scheduler's queue is bounded at --queue-cap requests;
-// when a burst fills it, submission (and therefore manifest consumption)
-// blocks until the dispatcher drains, so memory stays bounded no matter how
-// fast the producer appends.
+// Backpressure is reject-based: each replica queue holds --queue-cap
+// requests, and a request that finds its replica full gets an immediate
+// BUSY reply instead of blocking the event loop. SIGINT/SIGTERM or a
+// client SHUTDOWN frame drain every accepted request and stop; the server
+// then prints request counts, latency percentiles, throughput, and a
+// per-model summary.
 //
-// Control:
-//   - a line consisting of `__shutdown__` drains in-flight work and stops;
-//   - `--once` processes the manifest's current contents and exits
-//     (batch mode, no watching).
-//
-// Each completed request appends `<mask> <out> <status> <latency_ms>` to
-// the results file (latency covers read + queueing + inference + write).
-// On shutdown the server prints request count, error count, p50/p99
-// latency, throughput, and the scheduler's batching stats.
+// Watching a request manifest is a client concern: `doinn_client --follow
+// requests.txt` tails it, sends each line over the socket, and sends the
+// SHUTDOWN frame on a `__shutdown__` line.
 //
 // Observability (docs/ARCHITECTURE.md "Observability"):
 //   - `--trace-out trace.json` enables per-request tracing and writes a
 //     Chrome Trace Event Format file on shutdown (view in chrome://tracing
 //     or Perfetto; validate/summarize with scripts/trace_summary.py). Each
-//     manifest line gets a request id carried through serve.ingest ->
-//     sched.queue_wait -> sched.dispatch -> serve.write.
+//     request gets an ingest id carried through serve.ingest ->
+//     sched.queue_wait -> sched.dispatch -> serve.wait -> serve.write.
 //   - `--metrics-out metrics.json` writes the global metrics registry
-//     (serve.* + scheduler.* namespaces) on shutdown.
+//     (serve.* and pool.<model>.* namespaces) on shutdown.
 //   - SIGUSR1 dumps both files mid-run without stopping the server
-//     (best-effort snapshots; the shutdown dump is exact).
+//     (best-effort snapshots, polled every 50 ms; the shutdown dump is
+//     exact).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
-#include <condition_variable>
-#include <cstdio>
-#include <deque>
-#include <fstream>
-#include <future>
 #include <csignal>
-#include <memory>
-#include <mutex>
-#include <sstream>
+#include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "args.h"
-#include "io/io.h"
-#include "manifest_tail.h"
 #include "net/server.h"
-#include "runtime/engine.h"
 #include "runtime/engine_pool.h"
 #include "runtime/metrics_registry.h"
-#include "runtime/scheduler.h"
 #include "runtime/trace.h"
 
 using namespace litho;
@@ -111,144 +68,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double ms_between(Clock::time_point a, Clock::time_point b) {
-  return std::chrono::duration<double, std::milli>(b - a).count();
-}
+/// How often the event loop checks the SIGUSR1 dump flag.
+constexpr int kDumpPollMs = 50;
 
-/// A submitted request waiting for its contour: the future resolved by the
-/// scheduler plus everything the writer needs to finish the request.
-struct PendingRequest {
-  std::future<Tensor> contour;
-  std::string mask_path;
-  std::string out_path;
-  Clock::time_point t0;
-  uint64_t id = 0;  // manifest-order request id, carried through the trace
-};
-
-/// Bounded FIFO hand-off from the submitting main thread to the writer
-/// thread. Completed futures are consumed in submission order, which
-/// matches the scheduler's dispatch order closely enough that the writer
-/// rarely blocks. push() blocking on a full queue extends the scheduler's
-/// backpressure through the egress stage: resolved contours can't pile up
-/// faster than the writer persists them, so server memory stays bounded
-/// even when the output filesystem is the bottleneck.
-class CompletionQueue {
- public:
-  explicit CompletionQueue(size_t cap) : cap_(cap) {}
-  void push(PendingRequest req) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    space_cv_.wait(lock, [this] { return items_.size() < cap_; });
-    items_.push_back(std::move(req));
-    cv_.notify_one();
-  }
-  /// Signals that no further push() will happen; pop() returns false once
-  /// the queue is empty.
-  void close() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    closed_ = true;
-    cv_.notify_all();
-  }
-  bool pop(PendingRequest& out) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [this] { return !items_.empty() || closed_; });
-    if (items_.empty()) return false;
-    out = std::move(items_.front());
-    items_.pop_front();
-    space_cv_.notify_one();
-    return true;
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::condition_variable space_cv_;
-  std::deque<PendingRequest> items_;
-  const size_t cap_;
-  bool closed_ = false;
-};
-
-/// Serving-layer metrics, resolved once from the global registry (the
-/// scheduler records its scheduler.* metrics into the same registry, so
-/// --metrics-out dumps both in one document). The bounded-reservoir latency
-/// histogram keeps O(1) stats memory in a long-lived server.
-struct ServeStats {
-  std::mutex results_mutex;  // serializes results-file appends
-  runtime::Counter& ok = runtime::MetricsRegistry::global().counter(
-      "serve.requests_ok");
-  runtime::Counter& errors = runtime::MetricsRegistry::global().counter(
-      "serve.requests_error");
-  runtime::Histogram& latency_ms = runtime::MetricsRegistry::global()
-      .histogram("serve.latency_ms");
-  // Failed requests get their own histogram: errors resolve on a different
-  // timescale than successes (an unreadable mask fails in microseconds, a
-  // failed inference after the full queue wait), and mixing them into
-  // serve.latency_ms skewed the p50/p99 the SLO gate watches.
-  runtime::Histogram& error_latency_ms = runtime::MetricsRegistry::global()
-      .histogram("serve.error_latency_ms");
-};
-
-void record_error(ServeStats& stats, const std::string& results_path,
-                  const std::string& mask_path, const std::string& out_path,
-                  const std::string& error, double ms) {
-  stats.errors.add();
-  stats.error_latency_ms.record(ms);
-  std::lock_guard<std::mutex> lock(stats.results_mutex);
-  std::fprintf(stderr, "request %s failed: %s\n", mask_path.c_str(),
-               error.c_str());
-  std::ofstream results(results_path, std::ios::app);
-  results << mask_path << ' ' << out_path << " error " << ms << '\n';
-}
-
-/// Writer loop: finishes requests in submission order — waits for the
-/// contour, writes the output PGM, appends the results line, records the
-/// end-to-end latency.
-void writer_loop(CompletionQueue& completions, const std::string& results_path,
-                 ServeStats& stats) {
-  runtime::trace::set_thread_name("serve-writer");
-  PendingRequest req;
-  while (completions.pop(req)) {
-    bool ok = true;
-    std::string error;
-    // Waiting for the contour and persisting it are separate spans: the
-    // wait measures scheduler lag, the write measures output I/O. Folding
-    // both into serve.write made every batch's non-first request look like
-    // a slow filesystem.
-    Tensor contour;
-    {
-      DOINN_TRACE_SCOPE("serve.wait", "serve", "req",
-                        static_cast<int64_t>(req.id));
-      try {
-        contour = req.contour.get();
-      } catch (const std::exception& e) {
-        ok = false;
-        error = e.what();
-      }
-    }
-    if (ok) {
-      DOINN_TRACE_SCOPE("serve.write", "serve", "req",
-                        static_cast<int64_t>(req.id));
-      try {
-        io::write_pgm(req.out_path, contour);
-      } catch (const std::exception& e) {
-        ok = false;
-        error = e.what();
-      }
-    }
-    const double ms = ms_between(req.t0, Clock::now());
-    if (!ok) {
-      record_error(stats, results_path, req.mask_path, req.out_path, error, ms);
-      continue;
-    }
-    stats.ok.add();
-    stats.latency_ms.record(ms);
-    std::lock_guard<std::mutex> lock(stats.results_mutex);
-    std::ofstream results(results_path, std::ios::app);
-    results << req.mask_path << ' ' << req.out_path << " ok " << ms << '\n';
-  }
-}
-
-// SIGUSR1 => dump trace + metrics on the next poll iteration. The handler
-// only flips an atomic flag; file I/O happens on the main thread.
+// SIGUSR1 => dump trace + metrics on the next poll. The handler only
+// flips an atomic flag; file I/O happens on the loop thread.
 std::atomic<bool> g_dump_requested{false};
 
 #ifdef SIGUSR1
@@ -257,9 +81,8 @@ extern "C" void on_sigusr1(int) {
 }
 #endif
 
-// SIGINT/SIGTERM in --listen mode => stop and drain the socket server.
-// Set before the handlers are installed; Server::stop() is
-// async-signal-safe.
+// SIGINT/SIGTERM => stop and drain the socket server. Set before the
+// handlers are installed; Server::stop() is async-signal-safe.
 net::Server* g_server = nullptr;
 
 extern "C" void on_terminate(int) {
@@ -282,48 +105,40 @@ void dump_observability(const std::string& trace_out,
 
 void usage() {
   std::printf(
-      "usage: doinn_serve --weights weights.bin --manifest requests.txt\n"
-      "                   [--results out.txt] [--threads N]\n"
-      "                   [--precision fp32|int8|bf16] [--poll-ms 50]\n"
-      "                   [--no-graph-exec] [--no-autotune]\n"
-      "                   [--int8-policy auto|always]\n"
-      "                   [--max-batch 8] [--max-delay-us 2000]\n"
-      "                   [--queue-cap 64] [--adaptive-delay] [--once]\n"
-      "                   [--trace-out trace.json] [--metrics-out m.json]\n"
-      "       doinn_serve --weights weights.bin --listen <port>\n"
-      "                   [--idle-timeout-s 60]\n"
-      "                   [same tuning/observability flags]\n"
+      "usage: doinn_serve --weights weights.bin --listen <port>\n"
+      "                   [--replicas 1] [--precision fp32|int8|bf16]\n"
+      "                   [tuning/observability flags]\n"
       "       doinn_serve --models registry.txt [--default-model NAME]\n"
-      "                   (--manifest ... | --listen <port>)\n"
-      "                   [same tuning/observability flags]\n"
-      "--models serves several models (and replicas) from one registry file\n"
-      "(<name> <checkpoint> [fp32|int8|bf16] [replicas] per line); replicas\n"
-      "of a model share one set of prepacked weights. --replicas N serves N\n"
-      "replicas of a single --weights model. Manifest lines may start with\n"
-      "`model:<name>` to route to a named model; socket clients use the\n"
-      "protocol-v2 model field (doinn_client --model).\n"
-      "manifest lines: <mask.pgm> <contour_out.pgm>; `__shutdown__` stops\n"
-      "the server. --listen serves the framed TCP protocol instead (port 0\n"
-      "binds an ephemeral port, printed on startup; drive it with\n"
-      "doinn_client; SIGINT/SIGTERM drain and stop).\n"
+      "                   --listen <port> [tuning/observability flags]\n"
+      "tuning: [--threads N] [--no-graph-exec] [--no-autotune]\n"
+      "        [--int8-policy auto|always] [--max-batch 8]\n"
+      "        [--max-delay-us 2000] [--adaptive-delay] [--queue-cap 64]\n"
+      "        [--idle-timeout-s 60]\n"
+      "observability: [--trace-out trace.json] [--metrics-out m.json]\n"
+      "Serves the framed TCP protocol (port 0 binds an ephemeral port,\n"
+      "printed on startup); drive it with doinn_client, whose --follow mode\n"
+      "tails a request manifest. SIGINT/SIGTERM or a SHUTDOWN frame drain\n"
+      "and stop. --models serves several models (and replicas) from one\n"
+      "registry file (<name> <checkpoint> [fp32|int8|bf16] [replicas] per\n"
+      "line); --weights serves one model named `default`. Replicas of a\n"
+      "model share one set of prepacked weights; socket clients pick a\n"
+      "model with the protocol-v2 model field (doinn_client --model).\n"
       "--max-batch/--max-delay-us tune request coalescing; --adaptive-delay\n"
       "derives the flush delay from the observed arrival rate; --queue-cap\n"
-      "bounds the request queue (manifest submission blocks when full;\n"
-      "socket clients get a BUSY reply). --precision selects the inference\n"
-      "storage precision (fp32 is bitwise-exact; int8/bf16 are faster,\n"
-      "reduced-accuracy). --no-graph-exec disables the compiled static-graph\n"
-      "executor (per-shape capture + arena-planned buffers); --no-autotune\n"
-      "skips load-time kernel autotuning; --int8-policy auto keeps conv\n"
-      "shapes where int8 doesn't pay in fp32, always packs every conv int8.\n"
-      "--idle-timeout-s closes listen-mode connections\n"
-      "with no activity for that long (0 disables).\n"
-      "--trace-out enables tracing and\n"
-      "writes Chrome Trace Event JSON on shutdown; --metrics-out writes a\n"
-      "metrics snapshot; SIGUSR1 dumps both mid-run. See the header of\n"
+      "bounds each replica's queue (a full queue answers BUSY).\n"
+      "--precision selects the inference storage precision (fp32 is\n"
+      "bitwise-exact; int8/bf16 are faster, reduced-accuracy).\n"
+      "--no-graph-exec disables the compiled static-graph executor;\n"
+      "--no-autotune skips load-time kernel autotuning; --int8-policy auto\n"
+      "keeps conv shapes where int8 doesn't pay in fp32, always packs every\n"
+      "conv int8. --idle-timeout-s closes connections with no activity for\n"
+      "that long (0 disables). --trace-out enables tracing and writes\n"
+      "Chrome Trace Event JSON on shutdown; --metrics-out writes a metrics\n"
+      "snapshot; SIGUSR1 dumps both mid-run. See the header of\n"
       "apps/doinn_serve.cpp for details.\n");
 }
 
-/// Prints the per-model request/batch summary of a pool-backed server.
+/// Prints the per-model request/batch summary.
 void print_pool_summary(const runtime::EnginePool& pool) {
   for (const runtime::ModelStats& m : pool.model_stats()) {
     std::printf(
@@ -336,86 +151,25 @@ void print_pool_summary(const runtime::EnginePool& pool) {
   }
 }
 
-/// Runs the epoll TCP front end until SIGINT/SIGTERM or a client SHUTDOWN
-/// frame, then drains and prints a summary. Returns the process exit code.
-/// Exactly one of @p scheduler / @p pool is non-null (single-model vs
-/// multi-model serving).
-int run_listen_mode(runtime::Scheduler* scheduler, runtime::EnginePool* pool,
-                    uint16_t port, long idle_timeout_s, long poll_ms,
-                    const std::string& trace_out,
-                    const std::string& metrics_out) {
-  net::ServerOptions server_opts;
-  server_opts.port = port;
-  server_opts.idle_timeout_ms =
-      idle_timeout_s > 0 ? static_cast<int>(idle_timeout_s * 1000) : 0;
-  auto server_ptr =
-      pool != nullptr
-          ? std::make_unique<net::Server>(*pool, server_opts,
-                                          &runtime::MetricsRegistry::global())
-          : std::make_unique<net::Server>(*scheduler, server_opts,
-                                          &runtime::MetricsRegistry::global());
-  net::Server& server = *server_ptr;
-  g_server = &server;
-  std::signal(SIGINT, on_terminate);
-  std::signal(SIGTERM, on_terminate);
-  server.set_poll_handler(static_cast<int>(poll_ms), [&] {
-    if (g_dump_requested.exchange(false, std::memory_order_relaxed)) {
-      dump_observability(trace_out, metrics_out);
+/// The models to serve: the --models registry, or --weights as a one-line
+/// registry. Empty (after an error message) when the registry lists none.
+std::vector<runtime::ModelSpec> model_specs(const apps::Args& args,
+                                            Precision precision) {
+  if (args.has("models")) {
+    std::vector<runtime::ModelSpec> specs =
+        runtime::parse_model_registry(args.get("models"));
+    if (specs.empty()) {
+      std::fprintf(stderr, "error: model registry %s lists no models\n",
+                   args.get("models").c_str());
     }
-  });
-  // The net-smoke script and the tests parse this line for the bound port.
-  std::printf("doinn_serve: listening on port %u\n",
-              static_cast<unsigned>(server.port()));
-  std::fflush(stdout);
-
-  const auto t_start = Clock::now();
-  server.run();
-  // server.run() drained its own pending futures.
-  if (pool != nullptr) {
-    pool->shutdown();
-  } else {
-    scheduler->shutdown();
+    return specs;
   }
-  const double total_s = ms_between(t_start, Clock::now()) / 1e3;
-  dump_observability(trace_out, metrics_out);
-
-  const net::ServerStats stats = server.stats();
-  std::printf(
-      "served %lld requests (%lld errors, %lld busy-rejected, %lld "
-      "protocol errors) over %lld connections in %.2f s\n",
-      static_cast<long long>(stats.requests_ok),
-      static_cast<long long>(stats.requests_error),
-      static_cast<long long>(stats.busy_rejected),
-      static_cast<long long>(stats.protocol_errors),
-      static_cast<long long>(stats.connections_accepted), total_s);
-  if (stats.requests_ok > 0) {
-    const runtime::Histogram::Snapshot lat =
-        runtime::MetricsRegistry::global()
-            .histogram("serve.latency_ms")
-            .snapshot();
-    std::printf("latency p50 %.1f ms, p99 %.1f ms; throughput %.2f req/s\n",
-                lat.p50, lat.p99,
-                static_cast<double>(stats.requests_ok) /
-                    std::max(total_s, 1e-9));
-  }
-  if (pool != nullptr) {
-    print_pool_summary(*pool);
-  } else {
-    const runtime::SchedulerStats sched = scheduler->stats();
-    if (sched.batches + sched.large > 0) {
-      std::printf(
-          "scheduler: %lld batches (%.2f avg size), %lld large-tile "
-          "dispatches, %lld rejected, max queue depth %lld\n",
-          static_cast<long long>(sched.batches),
-          sched.batches > 0 ? static_cast<double>(sched.batched_requests) /
-                                  static_cast<double>(sched.batches)
-                            : 0.0,
-          static_cast<long long>(sched.large),
-          static_cast<long long>(sched.rejected),
-          static_cast<long long>(sched.max_queue_depth));
-    }
-  }
-  return stats.requests_error == 0 && stats.protocol_errors == 0 ? 0 : 1;
+  runtime::ModelSpec spec;
+  spec.name = "default";
+  spec.checkpoint = args.get("weights");
+  spec.precision = precision;
+  spec.replicas = static_cast<int>(args.get_positive_int("replicas", 1));
+  return {spec};
 }
 
 }  // namespace
@@ -423,28 +177,32 @@ int run_listen_mode(runtime::Scheduler* scheduler, runtime::EnginePool* pool,
 int main(int argc, char** argv) {
   try {
     const apps::Args args(argc, argv, /*start=*/1);
-    const bool listen_mode = args.has("listen");
+    for (const char* gone : {"manifest", "results", "once", "poll-ms"}) {
+      if (args.has(gone)) {
+        std::fprintf(stderr,
+                     "error: --%s was removed; doinn_serve speaks only the "
+                     "socket protocol. Run it with --listen and tail the "
+                     "manifest with `doinn_client --connect <host:port> "
+                     "--follow <manifest> [--results F]`\n",
+                     gone);
+        return 2;
+      }
+    }
     if (args.get_bool("help") ||
-        (!args.has("weights") && !args.has("models")) ||
-        (!args.has("manifest") && !listen_mode)) {
+        (!args.has("weights") && !args.has("models")) || !args.has("listen")) {
       usage();
       return args.get_bool("help") ? 0 : 2;
-    }
-    if (listen_mode && args.has("manifest")) {
-      std::fprintf(stderr,
-                   "error: --listen and --manifest are mutually exclusive\n");
-      return 2;
     }
     if (args.has("weights") && args.has("models")) {
       std::fprintf(stderr,
                    "error: --weights and --models are mutually exclusive\n");
       return 2;
     }
-    const std::string manifest_path = args.get("manifest", "");
-    const std::string results_path =
-        args.get("results", manifest_path + ".results");
-    const bool once = args.get_bool("once");
-    const long poll_ms = std::max<long>(1, args.get_int("poll-ms", 50));
+    const long port = args.get_int("listen", 0);
+    if (port < 0 || port > 65535) {
+      std::fprintf(stderr, "error: --listen port must be in [0, 65535]\n");
+      return 2;
+    }
     const std::string trace_out = args.get("trace-out", "");
     const std::string metrics_out = args.get("metrics-out", "");
     if (!trace_out.empty()) {
@@ -460,7 +218,8 @@ int main(int argc, char** argv) {
     std::signal(SIGUSR1, on_sigusr1);
 #endif
 
-    runtime::SchedulerOptions sched_opts;
+    runtime::EnginePoolOptions pool_opts;
+    auto& sched_opts = pool_opts.scheduler;
     sched_opts.max_batch = static_cast<int>(args.get_positive_int("max-batch", 8));
     sched_opts.max_delay_us = args.get_int("max-delay-us", 2000);
     sched_opts.adaptive_delay = args.get_bool("adaptive-delay");
@@ -475,7 +234,7 @@ int main(int argc, char** argv) {
       return 2;
     }
 
-    runtime::EngineOptions opts;
+    auto& opts = pool_opts.engine;
     opts.num_threads = static_cast<int>(args.get_int("threads", 0));
     opts.use_graph_executor = !args.get_bool("no-graph-exec");
     opts.autotune = !args.get_bool("no-autotune");
@@ -491,249 +250,76 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: %s\n", e.what());
       return 2;
     }
-    sched_opts.metrics = &runtime::MetricsRegistry::global();
-    const long replicas = args.get_positive_int("replicas", 1);
 
-    // Single-model single-replica --weights keeps the original
-    // engine+scheduler serving core (and its scheduler.* metric names);
-    // --models or --replicas > 1 serve through an EnginePool.
-    std::unique_ptr<runtime::InferenceEngine> engine;
-    std::unique_ptr<runtime::Scheduler> scheduler;
-    std::unique_ptr<runtime::EnginePool> pool;
-    if (args.has("models") || replicas > 1) {
-      std::vector<runtime::ModelSpec> specs;
-      if (args.has("models")) {
-        specs = runtime::parse_model_registry(args.get("models"));
-        if (specs.empty()) {
-          std::fprintf(stderr, "error: model registry %s lists no models\n",
-                       args.get("models").c_str());
-          return 2;
-        }
-      } else {
-        runtime::ModelSpec spec;
-        spec.name = "default";
-        spec.checkpoint = args.get("weights");
-        spec.precision = opts.precision;
-        spec.replicas = static_cast<int>(replicas);
-        specs.push_back(std::move(spec));
-      }
-      runtime::EnginePoolOptions pool_opts;
-      pool_opts.engine = opts;
-      pool_opts.scheduler = sched_opts;
-      pool_opts.default_model = args.get("default-model", "");
-      pool_opts.metrics = &runtime::MetricsRegistry::global();
-      pool = std::make_unique<runtime::EnginePool>(specs, pool_opts);
-      std::string models_desc;
-      for (const runtime::ModelSpec& spec : specs) {
-        if (!models_desc.empty()) models_desc += ", ";
-        models_desc += spec.name + " (" + precision_name(spec.precision) +
-                       " x" + std::to_string(spec.replicas) + ")";
-      }
-      std::printf(
-          "doinn_serve: %zu model%s [%s], default %s, batch<=%d within "
-          "%lld us%s, queue cap %d per replica, %s %s\n",
-          specs.size(), specs.size() == 1 ? "" : "s", models_desc.c_str(),
-          pool->default_model().c_str(), sched_opts.max_batch,
-          static_cast<long long>(sched_opts.max_delay_us),
-          sched_opts.adaptive_delay ? " (adaptive)" : "",
-          sched_opts.queue_cap,
-          listen_mode ? "serving TCP on port" : "watching",
-          listen_mode ? args.get("listen").c_str() : manifest_path.c_str());
-    } else {
-      engine =
-          std::make_unique<runtime::InferenceEngine>(args.get("weights"), opts);
-      scheduler = std::make_unique<runtime::Scheduler>(*engine, sched_opts);
-      std::printf(
-          "doinn_serve: %d threads, %lld px tile model, %s inference, "
-          "batch<=%d within %lld us%s, queue cap %d, %s %s\n",
-          engine->pool().size(), static_cast<long long>(engine->config().tile),
-          precision_name(engine->precision()), sched_opts.max_batch,
-          static_cast<long long>(sched_opts.max_delay_us),
-          sched_opts.adaptive_delay ? " (adaptive)" : "", sched_opts.queue_cap,
-          listen_mode ? "serving TCP on port" : "watching",
-          listen_mode ? args.get("listen").c_str() : manifest_path.c_str());
+    const std::vector<runtime::ModelSpec> specs =
+        model_specs(args, opts.precision);
+    if (specs.empty()) return 2;
+    pool_opts.default_model = args.get("default-model", "");
+    pool_opts.metrics = &runtime::MetricsRegistry::global();
+    runtime::EnginePool pool(specs, pool_opts);
+    std::string models_desc;
+    for (const runtime::ModelSpec& spec : specs) {
+      if (!models_desc.empty()) models_desc += ", ";
+      models_desc += spec.name + " (" + precision_name(spec.precision) +
+                     " x" + std::to_string(spec.replicas) + ")";
     }
-    std::fflush(stdout);
+    std::printf(
+        "doinn_serve: %zu model%s [%s], default %s, %lld px tile, batch<=%d "
+        "within %lld us%s, queue cap %d per replica\n",
+        specs.size(), specs.size() == 1 ? "" : "s", models_desc.c_str(),
+        pool.default_model().c_str(),
+        static_cast<long long>(pool.config("").tile), sched_opts.max_batch,
+        static_cast<long long>(sched_opts.max_delay_us),
+        sched_opts.adaptive_delay ? " (adaptive)" : "", sched_opts.queue_cap);
 
-    if (listen_mode) {
-      const long port = args.get_int("listen", 0);
-      if (port < 0 || port > 65535) {
-        std::fprintf(stderr, "error: --listen port must be in [0, 65535]\n");
-        return 2;
-      }
-      const long idle_timeout_s = args.get_int("idle-timeout-s", 60);
-      return run_listen_mode(scheduler.get(), pool.get(),
-                             static_cast<uint16_t>(port), idle_timeout_s,
-                             poll_ms, trace_out, metrics_out);
-    }
-
-    ServeStats stats;
-    CompletionQueue completions(static_cast<size_t>(sched_opts.queue_cap));
-    std::thread writer(
-        [&completions, &results_path, &stats] {
-          writer_loop(completions, results_path, stats);
-        });
-
-    std::streamoff consumed_bytes = 0;  // offset just past the last
-                                        // newline-terminated line consumed
-    size_t consumed_lines = 0;
-    uint64_t next_request_id = 0;  // manifest order; high bit stays clear,
-                                   // disjoint from scheduler-internal ids
-    bool shutdown = false;
-    const auto t_start = Clock::now();
-    // From here until writer.join() an escaping exception must still drain
-    // the scheduler and join the writer — destroying a joinable std::thread
-    // calls std::terminate, turning a reportable error into an abort.
-    try {
-    while (!shutdown) {
-      // Checked first so an idle server (no fresh manifest lines) still
-      // honors a SIGUSR1 dump on its next poll.
+    net::ServerOptions server_opts;
+    server_opts.port = static_cast<uint16_t>(port);
+    const long idle_timeout_s = args.get_int("idle-timeout-s", 60);
+    server_opts.idle_timeout_ms =
+        idle_timeout_s > 0 ? static_cast<int>(idle_timeout_s * 1000) : 0;
+    net::Server server(pool, server_opts, &runtime::MetricsRegistry::global());
+    g_server = &server;
+    std::signal(SIGINT, on_terminate);
+    std::signal(SIGTERM, on_terminate);
+    server.set_poll_handler(kDumpPollMs, [&] {
       if (g_dump_requested.exchange(false, std::memory_order_relaxed)) {
         dump_observability(trace_out, metrics_out);
       }
-      struct FreshRequest {
-        std::string model;  // "" = default model
-        std::string mask_path;
-        std::string out_path;
-      };
-      std::vector<FreshRequest> fresh;
-      {
-        // In --once mode there is no next poll, so EOF terminates the final
-        // line even without a newline.
-        apps::ManifestTail tail = apps::read_manifest_tail(
-            manifest_path, consumed_bytes, /*eof_ends_last_line=*/once);
-        if (tail.restarted) {
-          std::fprintf(stderr,
-                       "doinn_serve: manifest %s shrank (truncated or "
-                       "rotated); reprocessing from the start\n",
-                       manifest_path.c_str());
-          consumed_lines = 0;
-        }
-        if (tail.lines.empty()) {
-          if (once) break;
-          std::this_thread::sleep_for(std::chrono::milliseconds(poll_ms));
-          continue;
-        }
-        for (std::string& line : tail.lines) {
-          ++consumed_lines;
-          if (line.empty() || line[0] == '#') continue;
-          if (line == "__shutdown__") {
-            shutdown = true;
-            break;
-          }
-          std::istringstream fields(line);
-          FreshRequest req;
-          std::string first;
-          fields >> first;
-          // An optional `model:<name>` first field routes to a named model
-          // of a --models registry; without it the default model serves.
-          if (first.rfind("model:", 0) == 0) {
-            req.model = first.substr(6);
-            if (req.model.empty() ||
-                !(fields >> req.mask_path >> req.out_path)) {
-              std::fprintf(stderr,
-                           "skipping malformed manifest line %zu: %s\n",
-                           consumed_lines, line.c_str());
-              continue;
-            }
-          } else {
-            req.mask_path = std::move(first);
-            if (req.mask_path.empty() || !(fields >> req.out_path)) {
-              std::fprintf(stderr,
-                           "skipping malformed manifest line %zu: %s\n",
-                           consumed_lines, line.c_str());
-              continue;
-            }
-          }
-          fresh.push_back(std::move(req));
-        }
-      }
-      for (auto& req : fresh) {
-        const auto t0 = Clock::now();
-        const uint64_t rid = ++next_request_id;
-        try {
-          // submit() blocks while the scheduler queue is full, which
-          // propagates backpressure all the way to manifest consumption.
-          // The ingest span therefore covers read + any backpressure stall.
-          DOINN_TRACE_SCOPE("serve.ingest", "serve", "req",
-                            static_cast<int64_t>(rid));
-          PendingRequest pending;
-          if (pool != nullptr) {
-            // Unknown model names throw here and land in the results file
-            // as request errors, like an unreadable mask.
-            pending.contour =
-                pool->submit(req.model, io::read_pgm(req.mask_path), rid);
-          } else if (!req.model.empty()) {
-            throw std::invalid_argument(
-                "manifest names model \"" + req.model +
-                "\" but the server runs a single --weights model");
-          } else {
-            pending.contour = scheduler->submit(io::read_pgm(req.mask_path),
-                                                rid);
-          }
-          pending.mask_path = req.mask_path;
-          pending.out_path = req.out_path;
-          pending.t0 = t0;
-          pending.id = rid;
-          completions.push(std::move(pending));
-        } catch (const std::exception& e) {
-          record_error(stats, results_path, req.mask_path, req.out_path,
-                       e.what(), ms_between(t0, Clock::now()));
-        }
-      }
-      if (shutdown || once) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(poll_ms));
-    }
-    } catch (...) {
-      if (pool != nullptr) {
-        pool->shutdown();
-      } else {
-        scheduler->shutdown();
-      }
-      completions.close();
-      writer.join();
-      throw;
-    }
-    // Drain: every pending future resolves.
-    if (pool != nullptr) {
-      pool->shutdown();
-    } else {
-      scheduler->shutdown();
-    }
-    completions.close();
-    writer.join();
-    const double total_s = ms_between(t_start, Clock::now()) / 1e3;
-    // Quiescent now (dispatcher joined, writer joined): this dump is exact.
+    });
+    // perfbench, the net-smoke script and the tests parse this line for
+    // the bound port.
+    std::printf("doinn_serve: listening on port %u\n",
+                static_cast<unsigned>(server.port()));
+    std::fflush(stdout);
+
+    const auto t_start = Clock::now();
+    server.run();  // drains its own pending futures before returning
+    pool.shutdown();
+    const double total_s =
+        std::chrono::duration<double>(Clock::now() - t_start).count();
+    // Quiescent now (dispatchers joined): this dump is exact.
     dump_observability(trace_out, metrics_out);
 
-    const int64_t n = stats.ok.value();
-    const int64_t errors = stats.errors.value();
-    std::printf("served %lld requests (%lld errors) in %.2f s\n",
-                static_cast<long long>(n), static_cast<long long>(errors),
-                total_s);
-    if (n > 0) {
-      const runtime::Histogram::Snapshot lat = stats.latency_ms.snapshot();
+    const net::ServerStats stats = server.stats();
+    std::printf(
+        "served %lld requests (%lld errors, %lld busy-rejected, %lld "
+        "protocol errors) over %lld connections in %.2f s\n",
+        static_cast<long long>(stats.requests_ok),
+        static_cast<long long>(stats.requests_error),
+        static_cast<long long>(stats.busy_rejected),
+        static_cast<long long>(stats.protocol_errors),
+        static_cast<long long>(stats.connections_accepted), total_s);
+    if (stats.requests_ok > 0) {
+      const runtime::Histogram::Snapshot lat =
+          server.metrics().histogram("serve.latency_ms").snapshot();
       std::printf("latency p50 %.1f ms, p99 %.1f ms; throughput %.2f req/s\n",
                   lat.p50, lat.p99,
-                  static_cast<double>(n) / std::max(total_s, 1e-9));
+                  static_cast<double>(stats.requests_ok) /
+                      std::max(total_s, 1e-9));
     }
-    if (pool != nullptr) {
-      print_pool_summary(*pool);
-    } else {
-      const runtime::SchedulerStats sched = scheduler->stats();
-      if (sched.batches + sched.large > 0) {
-        std::printf(
-            "scheduler: %lld batches (%.2f avg size), %lld large-tile "
-            "dispatches, max queue depth %lld\n",
-            static_cast<long long>(sched.batches),
-            sched.batches > 0 ? static_cast<double>(sched.batched_requests) /
-                                    static_cast<double>(sched.batches)
-                              : 0.0,
-            static_cast<long long>(sched.large),
-            static_cast<long long>(sched.max_queue_depth));
-      }
-    }
-    return errors == 0 ? 0 : 1;
+    print_pool_summary(pool);
+    g_server = nullptr;
+    return stats.requests_error == 0 && stats.protocol_errors == 0 ? 0 : 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

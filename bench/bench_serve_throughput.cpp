@@ -38,7 +38,9 @@
 // file that CI feeds through scripts/trace_summary.py.
 //
 // A fourth pass runs the same closed-loop clients through the TCP front
-// end (src/net/server.h over loopback, adaptive batching on): every
+// end (src/net/server.h over loopback, adaptive batching on), served as
+// doinn_serve --weights serves: a one-model, one-replica EnginePool loaded
+// from a checkpoint of the same weights. Every
 // contour must be byte-identical on the wire to the quantized serial
 // result, throughput must hold >= 0.5x serial (framing + loopback on top
 // of the same compute), and the closed-loop p99 latency gates against an
@@ -60,6 +62,7 @@
 #include "net/protocol.h"
 #include "net/server.h"
 #include "runtime/engine.h"
+#include "runtime/engine_pool.h"
 #include "runtime/percentile.h"
 #include "runtime/scheduler.h"
 #include "runtime/trace.h"
@@ -264,10 +267,29 @@ int main(int argc, char** argv) {
   bool socket_identical = true;
   int64_t socket_busy = 0;
   {
-    runtime::SchedulerOptions sock_opts = sched_opts;
-    sock_opts.adaptive_delay = true;
-    runtime::Scheduler sock_scheduler(engine, sock_opts);
-    net::Server server(sock_scheduler, net::ServerOptions{});
+    const std::string checkpoint = "bench_serve_socket.bin";
+    core::save_doinn(checkpoint, *engine.shared_model());
+    runtime::ModelSpec spec;
+    spec.name = "default";
+    spec.checkpoint = checkpoint;
+    runtime::EnginePoolOptions pool_opts;
+    pool_opts.scheduler = sched_opts;
+    pool_opts.scheduler.adaptive_delay = true;
+    runtime::EnginePool pool({spec}, pool_opts);
+    std::remove(checkpoint.c_str());
+    // Warm the replica's plans with a burst of every batch size, as the
+    // in-process passes warmed the shared engine before their timing.
+    for (size_t burst = 1; burst <= static_cast<size_t>(kConcurrency);
+         ++burst) {
+      std::vector<std::future<Tensor>> warm;
+      for (size_t i = 0; i < burst; ++i) {
+        if (auto f = pool.try_submit("", masks[i], i + 1)) {
+          warm.push_back(std::move(*f));
+        }
+      }
+      for (auto& f : warm) (void)f.get();
+    }
+    net::Server server(pool, net::ServerOptions{});
     std::thread loop([&] { server.run(); });
 
     std::vector<Tensor> socket_results(requests);
@@ -308,14 +330,14 @@ int main(int argc, char** argv) {
     });
     server.stop();
     loop.join();
-    sock_scheduler.shutdown();
+    pool.shutdown();
     socket_rps = static_cast<double>(requests) / secs;
     socket_busy = busy.load();
     socket_p99_ms = runtime::nearest_rank_percentile(latencies_ms, 0.99);
 
     // Wire identity: the socket contour re-encodes to exactly the bytes
     // the serial result would produce — the PGM a socket client writes is
-    // byte-identical to manifest mode's output file.
+    // byte-identical to a local predict's output file.
     for (size_t i = 0; i < requests; ++i) {
       std::vector<uint8_t> socket_wire, serial_wire;
       net::encode_image(socket_results[i], socket_wire);

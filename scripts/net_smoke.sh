@@ -1,20 +1,25 @@
 #!/usr/bin/env bash
 # End-to-end smoke of the socket serving front end.
 #
-# Trains a tiny model, renders reference contours through doinn_serve's
-# manifest mode, then starts `doinn_serve --listen 0` and drives it with
-# the doinn_client load generator over loopback. Asserts:
+# Trains a tiny model, renders reference contours with `doinn_cli predict`,
+# then starts `doinn_serve --listen 0` and drives it with doinn_client over
+# loopback. Asserts:
 #
 #   - the server comes up, serves the load, and drains cleanly on a
 #     SHUTDOWN frame (nonzero server exit fails the script);
-#   - every socket-mode contour is byte-identical to the manifest-mode
-#     output for the same mask (the transport-independence contract);
+#   - every socket contour is byte-identical to the local predict output
+#     for the same mask (the transport-independence contract);
 #   - the Chrome trace written on shutdown validates and contains the
 #     full serving-path span taxonomy (serve.ingest, sched.queue_wait,
 #     sched.dispatch, serve.wait, serve.write);
+#   - `doinn_client --follow` tails a manifest appended in two batches and
+#     then `__shutdown__`: byte-identical outputs, one `ok` results line per
+#     request, a server drained by the SHUTDOWN frame, and both processes
+#     exiting 0;
 #   - a two-model, two-replica `--models` registry server routes socket
-#     (protocol-v2 model field) and manifest (`model:` prefix) traffic to
-#     the right model, byte-identical to per-model single-engine runs.
+#     traffic by the protocol-v2 model field, the `model:` manifest prefix
+#     and --model to the right model, byte-identical to per-model local
+#     predictions.
 #
 # Usage: scripts/net_smoke.sh [build-dir]   (defaults to ./build)
 # Set DOINN_SMOKE_ARTIFACTS=<dir> to copy trace/metrics JSON and server
@@ -32,61 +37,80 @@ done
 
 WORK=$(mktemp -d)
 SERVER_PID=""
+FOLLOW_PID=""
 cleanup() {
   status=$?
-  if [ -n "$SERVER_PID" ] && kill -0 "$SERVER_PID" 2>/dev/null; then
-    kill "$SERVER_PID" 2>/dev/null || true
-    wait "$SERVER_PID" 2>/dev/null || true
-  fi
+  for pid in $FOLLOW_PID $SERVER_PID; do
+    if kill -0 "$pid" 2>/dev/null; then
+      kill "$pid" 2>/dev/null || true
+      wait "$pid" 2>/dev/null || true
+    fi
+  done
   if [ "$status" -ne 0 ] && [ -n "${DOINN_SMOKE_ARTIFACTS:-}" ]; then
     mkdir -p "$DOINN_SMOKE_ARTIFACTS"
-    cp "$WORK"/*.json "$WORK"/*.log "$DOINN_SMOKE_ARTIFACTS"/ 2>/dev/null || true
+    cp "$WORK"/*.json "$WORK"/*.log "$WORK"/*.results \
+      "$DOINN_SMOKE_ARTIFACTS"/ 2>/dev/null || true
   fi
   rm -rf "$WORK"
 }
 trap cleanup EXIT
 
-echo "== training a tiny model =="
+# start_server <log> <doinn_serve args...>: starts the server in the
+# background (SERVER_PID) and waits for its `listening on port N` line
+# (PORT).
+start_server() {
+  local log=$1
+  shift
+  "$BUILD/doinn_serve" "$@" > "$log" 2>&1 &
+  SERVER_PID=$!
+  PORT=""
+  for _ in $(seq 1 100); do
+    PORT=$(sed -n 's/.*listening on port \([0-9][0-9]*\).*/\1/p' "$log" |
+      head -n 1)
+    [ -n "$PORT" ] && break
+    if ! kill -0 "$SERVER_PID" 2>/dev/null; then
+      echo "net_smoke: server exited before listening" >&2
+      cat "$log" >&2
+      exit 1
+    fi
+    sleep 0.1
+  done
+  if [ -z "$PORT" ]; then
+    echo "net_smoke: server never reported its port" >&2
+    cat "$log" >&2
+    exit 1
+  fi
+  echo "server is listening on port $PORT"
+}
+
+# expect_same <reference> <got> <what>: byte comparison with a message.
+expect_same() {
+  cmp "$1" "$2" || {
+    echo "net_smoke: $3 differs from the doinn_cli predict reference" >&2
+    exit 1
+  }
+}
+
+echo "== training two tiny models =="
 "$BUILD/doinn_cli" train --kind via --tile 64 --count 2 --epochs 1 \
   --out "$WORK/weights.bin"
+"$BUILD/doinn_cli" train --kind via --tile 64 --count 2 --epochs 2 \
+  --out "$WORK/weights_b.bin"
 
-echo "== generating masks =="
+echo "== generating masks and doinn_cli predict references =="
 for i in 1 2 3 4; do
   "$BUILD/doinn_cli" generate --kind via --tile 64 --seed "$i" \
     --out "$WORK/mask$i.pgm"
+  "$BUILD/doinn_cli" predict --weights "$WORK/weights.bin" \
+    --mask "$WORK/mask$i.pgm" --out "$WORK/ref$i.pgm"
+  "$BUILD/doinn_cli" predict --weights "$WORK/weights_b.bin" \
+    --mask "$WORK/mask$i.pgm" --out "$WORK/ref_b$i.pgm"
 done
-
-echo "== manifest-mode reference contours =="
-for i in 1 2 3 4; do
-  echo "$WORK/mask$i.pgm $WORK/ref$i.pgm"
-done > "$WORK/ref_manifest.txt"
-"$BUILD/doinn_serve" --weights "$WORK/weights.bin" \
-  --manifest "$WORK/ref_manifest.txt" --once
 
 echo "== starting doinn_serve --listen =="
-"$BUILD/doinn_serve" --weights "$WORK/weights.bin" --listen 0 \
+start_server "$WORK/server.log" --weights "$WORK/weights.bin" --listen 0 \
   --adaptive-delay --trace-out "$WORK/trace.json" \
-  --metrics-out "$WORK/metrics.json" > "$WORK/server.log" 2>&1 &
-SERVER_PID=$!
-
-PORT=""
-for _ in $(seq 1 100); do
-  PORT=$(sed -n 's/.*listening on port \([0-9][0-9]*\).*/\1/p' \
-    "$WORK/server.log" | head -n 1)
-  [ -n "$PORT" ] && break
-  if ! kill -0 "$SERVER_PID" 2>/dev/null; then
-    echo "net_smoke: server exited before listening" >&2
-    cat "$WORK/server.log" >&2
-    exit 1
-  fi
-  sleep 0.1
-done
-if [ -z "$PORT" ]; then
-  echo "net_smoke: server never reported its port" >&2
-  cat "$WORK/server.log" >&2
-  exit 1
-fi
-echo "server is listening on port $PORT"
+  --metrics-out "$WORK/metrics.json"
 
 echo "== driving the socket load =="
 for i in 1 2 3 4; do
@@ -101,12 +125,9 @@ wait "$SERVER_PID"
 SERVER_PID=""
 cat "$WORK/server.log"
 
-echo "== checking socket vs manifest byte identity =="
+echo "== checking socket vs local predict byte identity =="
 for i in 1 2 3 4; do
-  cmp "$WORK/ref$i.pgm" "$WORK/sock$i.pgm" || {
-    echo "net_smoke: socket contour $i differs from manifest mode" >&2
-    exit 1
-  }
+  expect_same "$WORK/ref$i.pgm" "$WORK/sock$i.pgm" "socket contour $i"
 done
 echo "all contours byte-identical"
 
@@ -114,49 +135,84 @@ echo "== validating the trace =="
 python3 scripts/trace_summary.py "$WORK/trace.json" --require \
   serve.ingest sched.queue_wait sched.dispatch serve.wait serve.write
 
-echo "== two-model registry end to end =="
-# A second model with different weights, then a pool server with two
-# replicas of each. Socket traffic routes by the protocol-v2 model field,
-# manifest traffic by the `model:` line prefix; both must match the
-# per-model single-engine references byte for byte.
-"$BUILD/doinn_cli" train --kind via --tile 64 --count 2 --epochs 2 \
-  --out "$WORK/weights_b.bin"
+echo "== doinn_client --follow end to end =="
+# The client tails a manifest a producer appends to in two batches, then
+# ends it with __shutdown__; the client finishes its requests and sends
+# the SHUTDOWN frame that drains the server.
+start_server "$WORK/follow_server.log" --weights "$WORK/weights.bin" \
+  --listen 0 --metrics-out "$WORK/follow_metrics.json"
+FOLLOW=$WORK/follow.txt
+RESULTS=$FOLLOW.results  # the client's default results path
+: > "$FOLLOW"
+"$BUILD/doinn_client" --connect "127.0.0.1:$PORT" --follow "$FOLLOW" \
+  --concurrency 2 > "$WORK/follow_client.log" 2>&1 &
+FOLLOW_PID=$!
+
+# wait_results <n>: waits until the client has written n results lines.
+wait_results() {
+  for _ in $(seq 1 200); do
+    [ "$(cat "$RESULTS" 2>/dev/null | wc -l)" -ge "$1" ] && return 0
+    sleep 0.05
+  done
+  echo "net_smoke: --follow wrote fewer than $1 results lines" >&2
+  cat "$WORK/follow_client.log" >&2
+  exit 1
+}
+printf '%s\n' "$WORK/mask1.pgm $WORK/follow1.pgm" \
+  "# a comment, then a blank line" "" \
+  "$WORK/mask2.pgm $WORK/follow2.pgm" >> "$FOLLOW"
+wait_results 2
+printf '%s\n' "$WORK/mask3.pgm $WORK/follow3.pgm" \
+  "model:default $WORK/mask4.pgm $WORK/follow4.pgm" >> "$FOLLOW"
+wait_results 4
+echo "__shutdown__" >> "$FOLLOW"
+
+wait "$FOLLOW_PID" || {
+  echo "net_smoke: doinn_client --follow exited nonzero" >&2
+  cat "$WORK/follow_client.log" >&2
+  exit 1
+}
+FOLLOW_PID=""
+wait "$SERVER_PID" || {
+  echo "net_smoke: the --follow server exited nonzero" >&2
+  cat "$WORK/follow_server.log" >&2
+  exit 1
+}
+SERVER_PID=""
+cat "$WORK/follow_client.log" "$WORK/follow_server.log"
 
 for i in 1 2 3 4; do
-  echo "$WORK/mask$i.pgm $WORK/ref_b$i.pgm"
-done > "$WORK/ref_b_manifest.txt"
-"$BUILD/doinn_serve" --weights "$WORK/weights_b.bin" \
-  --manifest "$WORK/ref_b_manifest.txt" --once
+  expect_same "$WORK/ref$i.pgm" "$WORK/follow$i.pgm" "--follow contour $i"
+  n=$(grep -c "^$WORK/mask$i.pgm $WORK/follow$i.pgm ok " "$RESULTS" || true)
+  if [ "$n" -ne 1 ]; then
+    echo "net_smoke: expected one ok results line for request $i, got $n" >&2
+    cat "$RESULTS" >&2
+    exit 1
+  fi
+done
+if [ "$(wc -l < "$RESULTS")" -ne 4 ]; then
+  echo "net_smoke: expected 4 results lines" >&2
+  cat "$RESULTS" >&2
+  exit 1
+fi
+grep -q "served 4 requests (0 errors" "$WORK/follow_server.log" || {
+  echo "net_smoke: the --follow server did not drain all 4 requests" >&2
+  exit 1
+}
+echo "--follow outputs byte-identical, 4 ok results lines, server drained"
 
+echo "== two-model registry end to end =="
+# A pool server with two replicas of each model. Socket traffic routes by
+# the protocol-v2 model field, set by the `model:` manifest prefix or
+# --model; both must match the per-model local predictions byte for byte.
 cat > "$WORK/registry.txt" <<EOF
 # name  checkpoint          precision  replicas
 alpha   $WORK/weights.bin   fp32       2
 beta    $WORK/weights_b.bin fp32       2
 EOF
 
-"$BUILD/doinn_serve" --models "$WORK/registry.txt" --listen 0 \
-  --metrics-out "$WORK/pool_metrics.json" \
-  > "$WORK/pool_server.log" 2>&1 &
-SERVER_PID=$!
-
-PORT=""
-for _ in $(seq 1 100); do
-  PORT=$(sed -n 's/.*listening on port \([0-9][0-9]*\).*/\1/p' \
-    "$WORK/pool_server.log" | head -n 1)
-  [ -n "$PORT" ] && break
-  if ! kill -0 "$SERVER_PID" 2>/dev/null; then
-    echo "net_smoke: pool server exited before listening" >&2
-    cat "$WORK/pool_server.log" >&2
-    exit 1
-  fi
-  sleep 0.1
-done
-if [ -z "$PORT" ]; then
-  echo "net_smoke: pool server never reported its port" >&2
-  cat "$WORK/pool_server.log" >&2
-  exit 1
-fi
-echo "pool server is listening on port $PORT"
+start_server "$WORK/pool_server.log" --models "$WORK/registry.txt" \
+  --listen 0 --metrics-out "$WORK/pool_metrics.json"
 
 # Interleaved per-model routing in one manifest (model: prefix), plus
 # unprefixed lines that must land on the default model (alpha).
@@ -182,24 +238,12 @@ cat "$WORK/pool_server.log"
 
 echo "== checking two-model routing byte identity =="
 for i in 1 2 3 4; do
-  cmp "$WORK/ref$i.pgm" "$WORK/pool_a$i.pgm" || {
-    echo "net_smoke: pool model alpha contour $i differs" >&2
-    exit 1
-  }
-  cmp "$WORK/ref_b$i.pgm" "$WORK/pool_b$i.pgm" || {
-    echo "net_smoke: pool model beta contour $i differs" >&2
-    exit 1
-  }
-  cmp "$WORK/ref$i.pgm" "$WORK/pool_d$i.pgm" || {
-    echo "net_smoke: pool default-model contour $i differs" >&2
-    exit 1
-  }
+  expect_same "$WORK/ref$i.pgm" "$WORK/pool_a$i.pgm" "pool model alpha contour $i"
+  expect_same "$WORK/ref_b$i.pgm" "$WORK/pool_b$i.pgm" "pool model beta contour $i"
+  expect_same "$WORK/ref$i.pgm" "$WORK/pool_d$i.pgm" "pool default-model contour $i"
 done
 for i in 1 2; do
-  cmp "$WORK/ref_b$i.pgm" "$WORK/flag_b$i.pgm" || {
-    echo "net_smoke: --model beta contour $i differs" >&2
-    exit 1
-  }
+  expect_same "$WORK/ref_b$i.pgm" "$WORK/flag_b$i.pgm" "--model beta contour $i"
 done
 echo "two-model routing byte-identical"
 

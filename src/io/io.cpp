@@ -28,6 +28,20 @@ T read_raw(std::ifstream& is) {
   return v;
 }
 
+/// Bytes between the read position and EOF. Length fields read from a
+/// file are checked against this before they size an allocation, so a
+/// corrupt header fails as malformed input instead of requesting gigabytes.
+uint64_t bytes_left(std::ifstream& is, const std::string& path) {
+  const std::streampos here = is.tellg();
+  is.seekg(0, std::ios::end);
+  const std::streampos end = is.tellg();
+  is.seekg(here);
+  if (!is || here < 0 || end < here) {
+    throw std::runtime_error(path + ": truncated file");
+  }
+  return static_cast<uint64_t>(end - here);
+}
+
 }  // namespace
 
 void write_pgm(const std::string& path, const Tensor& image, float lo,
@@ -83,6 +97,11 @@ Tensor read_pgm(const std::string& path) {
     throw std::runtime_error(path + ": unsupported PGM geometry");
   }
   is.get();  // single whitespace byte after maxval
+  // Dividing instead of multiplying keeps a hostile w * h from overflowing.
+  const uint64_t left = bytes_left(is, path);
+  if (static_cast<uint64_t>(w) > left / static_cast<uint64_t>(h)) {
+    throw std::runtime_error(path + ": truncated PGM payload");
+  }
   std::vector<uint8_t> raw(static_cast<size_t>(w * h));
   is.read(reinterpret_cast<char*>(raw.data()),
           static_cast<std::streamsize>(raw.size()));
@@ -147,11 +166,31 @@ std::map<std::string, Tensor> load_tensors(const std::string& path) {
   std::map<std::string, Tensor> out;
   for (uint32_t i = 0; i < count; ++i) {
     const auto name_len = read_raw<uint32_t>(is);
+    if (name_len > bytes_left(is, path)) {
+      throw std::runtime_error(path + ": tensor name past end of file");
+    }
     std::string name(name_len, '\0');
     is.read(name.data(), name_len);
     const auto rank = read_raw<uint32_t>(is);
+    if (rank > 8) throw std::runtime_error(path + ": tensor rank above 8");
     Shape shape(rank);
-    for (uint32_t d = 0; d < rank; ++d) shape[d] = read_raw<int64_t>(is);
+    for (uint32_t d = 0; d < rank; ++d) {
+      shape[d] = read_raw<int64_t>(is);
+      if (shape[d] < 0) throw std::runtime_error(path + ": negative extent");
+    }
+    // numel * 4 must fit in the bytes left; dividing never overflows.
+    const uint64_t max_numel = bytes_left(is, path) / sizeof(float);
+    uint64_t numel = 1;
+    for (const int64_t extent : shape) {
+      const uint64_t e = static_cast<uint64_t>(extent);
+      if (e != 0 && numel > max_numel / e) {
+        throw std::runtime_error(path + ": tensor data past end of file");
+      }
+      numel *= e;
+    }
+    if (numel > max_numel) {  // a rank-0 record still holds one element
+      throw std::runtime_error(path + ": tensor data past end of file");
+    }
     Tensor t(shape);
     is.read(reinterpret_cast<char*>(t.data()),
             static_cast<std::streamsize>(t.numel() * sizeof(float)));

@@ -34,7 +34,7 @@ class Client {
   Client& operator=(const Client&) = delete;
 
   /// Sends a PREDICT frame carrying @p mask (quantized exactly like
-  /// io::write_pgm, so the server decodes the same tensor manifest mode
+  /// io::write_pgm, so the server decodes the same tensor io::read_pgm
   /// would read from a PGM file). The two-argument form sends a version-1
   /// frame (default-model routing); the @p model form sends a version-2
   /// frame naming the model to serve ("" = default model).

@@ -24,12 +24,12 @@
 //     An empty name, like every version-1 frame, routes to the server's
 //     default model. The server scales levels by 1/maxval exactly like
 //     io::read_pgm, so a mask sent from a PGM file produces the same float
-//     tensor — and therefore a bitwise-identical contour — as
-//     manifest-mode ingest of that file.
+//     tensor — and therefore a bitwise-identical contour — as a local
+//     predict on that file (doinn_cli predict).
 //   kContour (server -> client): same layout (maxval 255); levels are the
 //     io::write_pgm quantization of the binarized contour, so writing the
-//     payload back out as a PGM reproduces manifest-mode output files
-//     byte for byte.
+//     payload back out as a PGM reproduces doinn_cli predict's output
+//     files byte for byte.
 //   kBusy (server -> client): empty payload. The scheduler queue was full
 //     (503 semantics): the request was NOT accepted; retry later. The
 //     connection stays open.
@@ -38,8 +38,9 @@
 //     errors (bad magic/version, oversize or malformed frame) are
 //     followed by the server closing the connection.
 //   kShutdown (client -> server): empty payload; asks the server to drain
-//     and exit (the loopback equivalent of the `__shutdown__` manifest
-//     line). No reply; the connection closes when the server drains.
+//     and exit (doinn_client sends it for --shutdown and for the
+//     `__shutdown__` manifest line under --follow). No reply; the
+//     connection closes when the server drains.
 #pragma once
 
 #include <cstddef>

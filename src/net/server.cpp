@@ -49,11 +49,9 @@ void set_blocking(int fd) {
 }  // namespace
 
 struct Server::Impl {
-  Impl(runtime::Scheduler* sched, runtime::EnginePool* engine_pool,
-       const ServerOptions& options, runtime::MetricsRegistry* registry,
-       Server& owner)
-      : scheduler(sched),
-        pool(engine_pool),
+  Impl(runtime::EnginePool& engine_pool, const ServerOptions& options,
+       runtime::MetricsRegistry* registry, Server& owner)
+      : pool(engine_pool),
         opts(options),
         server(owner),
         owned_metrics(registry != nullptr ? nullptr
@@ -111,10 +109,7 @@ struct Server::Impl {
     Clock::time_point t0;
   };
 
-  // Exactly one of these backs the predict path: a single scheduler
-  // (single-model server) or an engine pool routing by model name.
-  runtime::Scheduler* scheduler = nullptr;
-  runtime::EnginePool* pool = nullptr;
+  runtime::EnginePool& pool;
   const ServerOptions opts;
   Server& server;
   std::unique_ptr<runtime::MetricsRegistry> owned_metrics;
@@ -285,9 +280,7 @@ struct Server::Impl {
         }
         // Unknown model is a request-level error: this request fails but
         // the connection (and any pipelined requests on it) stays open.
-        const bool known =
-            pool != nullptr ? pool->has_model(model) : model.empty();
-        if (!known) {
+        if (!pool.has_model(model)) {
           m_errors.add();
           m_error_latency_ms.record(
               std::chrono::duration<double, std::milli>(Clock::now() - t0)
@@ -296,10 +289,7 @@ struct Server::Impl {
                                             "unknown model: " + model));
           return;
         }
-        auto future =
-            pool != nullptr
-                ? pool->try_submit(model, std::move(mask), trace_id)
-                : scheduler->try_submit(std::move(mask), trace_id);
+        auto future = pool.try_submit(model, std::move(mask), trace_id);
         if (!future.has_value()) {
           // Queue full (or the scheduler is draining): typed BUSY reject,
           // never a blocked event loop or a silently dropped request.
@@ -539,7 +529,7 @@ struct Server::Impl {
       listen_fd = -1;
     }
     // 2. Every accepted request resolves: close the pending queue and let
-    //    the completion thread work through it (the scheduler is still
+    //    the completion thread work through it (the pool is still
     //    running — the owner shuts it down only after run() returns).
     {
       std::lock_guard<std::mutex> lock(pending_mutex);
@@ -562,16 +552,9 @@ struct Server::Impl {
   }
 };
 
-Server::Server(runtime::Scheduler& scheduler, const ServerOptions& opts,
-               runtime::MetricsRegistry* metrics)
-    : impl_(new Impl(&scheduler, nullptr, opts, metrics, *this)) {
-  impl_->listen();
-  metrics_ = impl_->metrics;
-}
-
 Server::Server(runtime::EnginePool& pool, const ServerOptions& opts,
                runtime::MetricsRegistry* metrics)
-    : impl_(new Impl(nullptr, &pool, opts, metrics, *this)) {
+    : impl_(new Impl(pool, opts, metrics, *this)) {
   impl_->listen();
   metrics_ = impl_->metrics;
 }
@@ -617,10 +600,6 @@ ServerStats Server::stats() const {
 
 struct Server::Impl {};
 
-Server::Server(runtime::Scheduler&, const ServerOptions&,
-               runtime::MetricsRegistry*) {
-  throw std::runtime_error("Server: the socket front end requires Linux");
-}
 Server::Server(runtime::EnginePool&, const ServerOptions&,
                runtime::MetricsRegistry*) {
   throw std::runtime_error("Server: the socket front end requires Linux");

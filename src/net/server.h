@@ -1,15 +1,15 @@
 // TCP serving front end: framed mask-in / contour-out protocol over an
-// epoll event loop, integrated with the dynamic-batching scheduler through
-// its non-blocking try_submit.
+// epoll event loop, integrated with the runtime::EnginePool through its
+// non-blocking try_submit.
 //
 // Threading model (two threads, both owned here):
 //
 //   event-loop thread (the caller of run())
 //     accepts connections, reassembles length-prefixed frames from the
 //     nonblocking sockets, decodes masks, and calls
-//     Scheduler::try_submit. A full queue yields an immediate BUSY reply
-//     (503 semantics) — the loop never blocks on backpressure, never
-//     drops a request silently, and keeps serving other connections
+//     EnginePool::try_submit. A full replica queue yields an immediate
+//     BUSY reply (503 semantics) — the loop never blocks on backpressure,
+//     never drops a request silently, and keeps serving other connections
 //     while the engine is saturated. Completed contours are encoded and
 //     written back from the same thread (partial writes resume on
 //     EPOLLOUT).
@@ -23,16 +23,16 @@
 //
 // Protocol-level errors (bad magic/version, oversize frame, malformed
 // image payload) get a typed ERROR reply and the connection is closed;
-// request-level errors (the engine rejected this particular mask) get an
-// ERROR reply and the connection stays open. A SHUTDOWN frame asks the
-// server to stop: run() drains — every accepted request's reply is
-// flushed — and returns.
+// request-level errors (an unknown model, or the engine rejected this
+// particular mask) get an ERROR reply and the connection stays open. A
+// SHUTDOWN frame asks the server to stop: run() drains — every accepted
+// request's reply is flushed — and returns.
 //
-// Trace spans mirror manifest mode (`serve.ingest` on the loop thread,
-// `serve.wait` on the completion thread, `serve.write` on the loop
-// thread), so scripts/trace_summary.py validates both modes with the same
-// required-span list. Metrics land in the serve.* namespace of the
-// provided registry.
+// Trace spans: `serve.ingest` on the loop thread, `serve.wait` on the
+// completion thread, `serve.write` on the loop thread; with the
+// scheduler's sched.* spans they form the serving-path taxonomy that
+// scripts/trace_summary.py validates. Metrics land in the serve.*
+// namespace of the provided registry.
 #pragma once
 
 #include <atomic>
@@ -41,7 +41,6 @@
 #include <memory>
 
 #include "runtime/metrics_registry.h"
-#include "runtime/scheduler.h"
 
 namespace litho::runtime {
 class EnginePool;
@@ -78,19 +77,14 @@ class Server {
  public:
   /// Binds and listens immediately (clients may connect before run());
   /// throws std::runtime_error when the socket cannot be set up.
-  /// @param scheduler Accepts the decoded masks; must outlive the server.
-  ///   The caller shuts the scheduler down after run() returns — the
-  ///   server's drain depends on pending futures still resolving.
+  /// PREDICT frames are routed through @p pool by the version-2 model-name
+  /// field (version-1 frames and empty names go to the pool's default
+  /// model); a name the pool doesn't serve gets a request-level ERROR
+  /// reply. The pool must outlive the server, and the caller shuts it down
+  /// only after run() returns — the server's drain depends on pending
+  /// futures still resolving.
   /// @param metrics Registry for the serve.* metrics; nullptr gives the
   ///   server a private registry.
-  Server(runtime::Scheduler& scheduler, const ServerOptions& opts,
-         runtime::MetricsRegistry* metrics = nullptr);
-
-  /// Multi-model form: PREDICT frames are routed through @p pool by the
-  /// version-2 model-name field (version-1 frames and empty names go to
-  /// the pool's default model). A name the pool doesn't serve gets a
-  /// request-level ERROR reply — the connection stays open. The pool must
-  /// outlive the server; the caller shuts it down after run() returns.
   Server(runtime::EnginePool& pool, const ServerOptions& opts,
          runtime::MetricsRegistry* metrics = nullptr);
   ~Server();

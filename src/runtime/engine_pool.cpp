@@ -184,13 +184,6 @@ Scheduler& EnginePool::pick_replica(Model& m) {
   return *m.replicas[best].scheduler;
 }
 
-std::future<Tensor> EnginePool::submit(const std::string& model, Tensor mask,
-                                       uint64_t request_id) {
-  Model& m = resolve(model);
-  m.requests->add();
-  return pick_replica(m).submit(std::move(mask), request_id);
-}
-
 std::optional<std::future<Tensor>> EnginePool::try_submit(
     const std::string& model, Tensor mask, uint64_t request_id) {
   Model& m = resolve(model);

@@ -1,7 +1,8 @@
 // Multi-model, multi-replica serving pool with shared prepacked weights.
 //
-// One doinn_serve process can now host several models (a manifest-driven
-// registry maps model names to checkpoints) and several replicas of each.
+// The serving core of every doinn_serve process: one or several models (a
+// registry file maps model names to checkpoints; --weights is a one-line
+// registry) and one or several replicas of each.
 // Replicas exist for head-of-line isolation: a replica busy with a
 // large-tile request doesn't stall the other replicas' queues. They are
 // cheap because every replica of a model shares ONE core::Doinn — the
@@ -82,8 +83,8 @@ struct ModelStats {
 struct EnginePoolOptions {
   EngineOptions engine;
   SchedulerOptions scheduler;
-  /// Model served when a request names none (v1 protocol frames, manifest
-  /// lines without a model: prefix). Empty = the registry's first model.
+  /// Model served when a request names none (v1 protocol frames, v2 frames
+  /// with an empty name). Empty = the registry's first model.
   std::string default_model;
   /// Registry for the pool.* metrics and every replica scheduler. nullptr
   /// = a pool-private registry.
@@ -107,15 +108,9 @@ class EnginePool {
   EnginePool(const EnginePool&) = delete;
   EnginePool& operator=(const EnginePool&) = delete;
 
-  /// Blocking submit to @p model ("" = default). Backpressure blocks on
-  /// the chosen replica's queue. Throws std::invalid_argument for unknown
-  /// model names.
-  std::future<Tensor> submit(const std::string& model, Tensor mask,
-                             uint64_t request_id);
-
-  /// Non-blocking submit (the socket front end): std::nullopt when the
-  /// chosen replica's queue is full — the caller maps that to BUSY.
-  /// Throws std::invalid_argument for unknown model names.
+  /// Non-blocking submit to @p model ("" = default): std::nullopt when the
+  /// chosen replica's queue is full — the socket front end maps that to
+  /// BUSY. Throws std::invalid_argument for unknown model names.
   std::optional<std::future<Tensor>> try_submit(const std::string& model,
                                                 Tensor mask,
                                                 uint64_t request_id);

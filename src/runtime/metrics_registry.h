@@ -8,7 +8,7 @@
 // the per-request serving path.
 //
 // The scheduler, the serving front end, and the benches all record into
-// this layer (scheduler.* / serve.* namespaces); `doinn_serve
+// this layer (scheduler.* / pool.* / serve.* namespaces); `doinn_serve
 // --metrics-out metrics.json` dumps the global registry on shutdown and on
 // SIGUSR1. Histograms reuse the bounded-reservoir + nearest-rank-percentile
 // approach of src/runtime/percentile.h, so a long-lived server keeps O(1)

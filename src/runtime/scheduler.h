@@ -69,17 +69,17 @@ struct SchedulerOptions {
   bool adaptive_delay = false;
   /// Registry the scheduler.* metrics are registered in. nullptr (the
   /// default) gives the scheduler a private registry, so concurrently
-  /// live schedulers never mix counts; doinn_serve passes
+  /// live schedulers never mix counts; doinn_serve's engine pool passes
   /// &MetricsRegistry::global() so one dump covers the whole process.
   MetricsRegistry* metrics = nullptr;
-  /// Name prefix for this scheduler's metrics. The default keeps the
-  /// historical "scheduler." names; the engine pool gives each replica
-  /// scheduler its own "pool.<model>.r<k>." prefix so several schedulers
-  /// can share one registry without their counters colliding.
+  /// Name prefix for this scheduler's metrics. The default "scheduler."
+  /// serves in-process schedulers (tests, benches); the engine pool gives
+  /// each replica scheduler its own "pool.<model>.r<k>." prefix so several
+  /// schedulers can share one registry without their counters colliding.
   std::string metric_prefix = "scheduler.";
   /// Model name attached to this scheduler's trace spans (sched.dispatch
   /// "model" arg) so multi-model traces correlate batches to models.
-  /// Empty = omit the arg (single-model servers, tests).
+  /// Empty = omit the arg (in-process schedulers, tests).
   std::string trace_model;
 };
 
@@ -140,8 +140,8 @@ class Scheduler {
   /// mask's elements until the future resolves.
   ///
   /// The two-argument form threads an externally assigned correlation id
-  /// (doinn_serve's per-request id) through the trace spans; the
-  /// single-argument form assigns ids from an internal counter.
+  /// (the socket server's per-request ingest id) through the trace spans;
+  /// the single-argument form assigns ids from an internal counter.
   std::future<Tensor> submit(Tensor mask);
   std::future<Tensor> submit(Tensor mask, uint64_t request_id);
 

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <random>
+#include <string>
 
 #include "io/io.h"
 #include "test_util.h"
@@ -49,6 +54,23 @@ TEST(Pgm, AutoRangeWhenLoEqualsHi) {
 TEST(Pgm, RejectsNon2D) {
   EXPECT_THROW(write_pgm("/tmp/x.pgm", Tensor({2, 2, 2})),
                std::invalid_argument);
+}
+
+TEST(Pgm, HugeHeaderOnShortFileThrowsRuntimeError) {
+  // 3e9 x 3e9 pixels overflow a 64-bit byte count only after a multiply;
+  // the reader must compare against the bytes actually present and fail
+  // with runtime_error instead of attempting the allocation.
+  const std::string path = "/tmp/litho_test_huge.pgm";
+  std::ofstream(path, std::ios::binary) << "P5 3000000000 3000000000 255\n";
+  EXPECT_THROW(read_pgm(path), std::runtime_error);
+  std::filesystem::remove(path);
+}
+
+TEST(Pgm, PayloadShorterThanHeaderThrows) {
+  const std::string path = "/tmp/litho_test_short.pgm";
+  std::ofstream(path, std::ios::binary) << "P5\n4 4\n255\n0123456789";
+  EXPECT_THROW(read_pgm(path), std::runtime_error);
+  std::filesystem::remove(path);
 }
 
 TEST(Ppm, WritesColorPlanes) {
@@ -99,6 +121,103 @@ TEST(TensorContainer, RejectsTruncatedFile) {
   // Truncate the payload.
   std::filesystem::resize_file(path, 40);
   EXPECT_THROW(load_tensors(path), std::runtime_error);
+  std::filesystem::remove(path);
+}
+
+/// Bytes of a v1 container holding one tensor record whose header fields
+/// are given raw (no data follows unless @p data_bytes > 0).
+std::string container_header(uint32_t name_len, const std::string& name,
+                             uint32_t rank, const std::vector<int64_t>& dims,
+                             size_t data_bytes = 0) {
+  std::string bytes = "LTSR";
+  auto put = [&bytes](const void* p, size_t n) {
+    bytes.append(static_cast<const char*>(p), n);
+  };
+  const uint32_t version = 1, count = 1;
+  put(&version, 4);
+  put(&count, 4);
+  put(&name_len, 4);
+  bytes += name;
+  put(&rank, 4);
+  for (const int64_t d : dims) put(&d, 8);
+  bytes.append(data_bytes, '\0');
+  return bytes;
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+TEST(TensorContainer, HostileLengthFieldsThrowRuntimeError) {
+  // Each header asks for a multi-gigabyte allocation from a file under 40
+  // bytes; every one must fail as malformed input, not as bad_alloc.
+  const std::string path = "/tmp/litho_hostile.bin";
+  const std::vector<std::string> cases = {
+      container_header(0xFFFFFFF0u, "ab", 1, {}),
+      container_header(1, "w", 0x7FFFFFFFu, {4}),
+      container_header(1, "w", 2, {int64_t{1} << 20, int64_t{1} << 20}),
+      container_header(1, "w", 2, {INT64_MAX, INT64_MAX}),
+      container_header(1, "w", 1, {-4}),
+      container_header(1, "w", 9, {1, 1, 1, 1, 1, 1, 1, 1, 1}, 4),
+  };
+  for (size_t i = 0; i < cases.size(); ++i) {
+    write_bytes(path, cases[i]);
+    EXPECT_THROW(load_tensors(path), std::runtime_error) << "case " << i;
+  }
+  // The same framing with honest fields loads.
+  write_bytes(path, container_header(1, "w", 2, {2, 3}, 6 * sizeof(float)));
+  const auto loaded = load_tensors(path);
+  ASSERT_EQ(loaded.count("w"), 1u);
+  EXPECT_EQ(loaded.at("w").shape(), (Shape{2, 3}));
+  std::filesystem::remove(path);
+}
+
+TEST(TensorContainer, CorruptionCorpusLoadsOrThrowsRuntimeError) {
+  // A small checkpoint-shaped container (conv weight, bias, BN statistics,
+  // a rank-0-like scalar), then every truncation of it and ~2000 seeded
+  // byte flips. Each variant must load or throw std::runtime_error — any
+  // other exception fails here, and the sanitizer jobs catch memory errors.
+  const std::string path = "/tmp/litho_corpus.bin";
+  auto rng = test::rng(7);
+  std::map<std::string, Tensor> dict;
+  dict.emplace("lp.conv1.weight", Tensor::randn({4, 2, 3, 3}, rng));
+  dict.emplace("lp.conv1.bias", Tensor::randn({4}, rng));
+  dict.emplace("lp.bn1.running_var", Tensor::ones({4}));
+  dict.emplace("ir.convr3.weight", Tensor::randn({1, 4, 1, 1}, rng));
+  dict.emplace("step", Tensor({1}, {3.f}));
+  save_tensors(path, dict);
+  std::string clean;
+  {
+    std::ifstream in(path, std::ios::binary);
+    clean.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  ASSERT_GT(clean.size(), 100u);
+
+  auto must_load_or_reject = [&path](const std::string& bytes,
+                                     const std::string& what) {
+    write_bytes(path, bytes);
+    try {
+      (void)load_tensors(path);
+    } catch (const std::runtime_error&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << ": " << e.what();
+    }
+  };
+  for (size_t n = 0; n < clean.size(); ++n) {
+    must_load_or_reject(clean.substr(0, n), "truncated to " + std::to_string(n));
+  }
+  std::mt19937 flip_rng(20240611u);
+  std::uniform_int_distribution<size_t> pos(0, clean.size() - 1);
+  std::uniform_int_distribution<int> byte(0, 255);
+  for (int i = 0; i < 2000; ++i) {
+    std::string bytes = clean;
+    const int flips = 1 + i % 4;
+    for (int f = 0; f < flips; ++f) {
+      bytes[pos(flip_rng)] = static_cast<char>(byte(flip_rng));
+    }
+    must_load_or_reject(bytes, "flip case " + std::to_string(i));
+  }
   std::filesystem::remove(path);
 }
 

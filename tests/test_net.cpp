@@ -1,6 +1,7 @@
 // Tests for the socket front end: wire-format encode/decode (including the
-// quantization that keeps socket mode bitwise identical to manifest mode),
-// and loopback end-to-end runs against a live Server — single request,
+// quantization that keeps socket contours bitwise identical to local
+// predictions written with write_pgm), and loopback end-to-end runs
+// against a live Server over a one-model EnginePool — single request,
 // concurrent clients, BUSY backpressure under a saturated queue, protocol
 // errors (garbage and oversize frames), and SHUTDOWN-frame drain.
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include "net/protocol.h"
 #include "net/server.h"
 #include "runtime/engine.h"
+#include "runtime/engine_pool.h"
 #include "runtime/scheduler.h"
 #include "test_util.h"
 
@@ -102,7 +104,7 @@ TEST(NetProtocol, ImageRoundTripPreservesAllQuantizedLevels) {
   // arithmetic (level * (1/255.f), not level/255.f — they differ by 1 ulp
   // for some levels): encode (write_pgm's quantization) then decode
   // (read_pgm's scaling) must reproduce every float bitwise. This is what
-  // makes socket-mode tensors identical to manifest-mode tensors.
+  // makes socket-mode tensors identical to tensors read from PGM files.
   Tensor image({16, 16});
   const float scale = 1.f / 255.f;
   for (int64_t i = 0; i < 256; ++i) {
@@ -322,24 +324,28 @@ TEST(NetProtocol, SeededCorruptionCorpusNeverBreaksTheDecoder) {
   }
 }
 
-/// Engine + scheduler + server running on a background thread, torn down
-/// in reverse order.
+/// A one-model EnginePool over a temp checkpoint, served by a Server on a
+/// background thread and torn down in reverse order — the serving core of
+/// doinn_serve --weights. reference() is an independent engine over the
+/// same checkpoint.
 class LoopbackServer {
  public:
   explicit LoopbackServer(runtime::SchedulerOptions sched_opts = {},
                           net::ServerOptions server_opts = {})
-      : engine_(tiny_config(), /*seed=*/17, runtime::EngineOptions{1}),
-        scheduler_(engine_, sched_opts),
-        server_(scheduler_, server_opts),
+      : checkpoint_(write_checkpoint()),
+        reference_(checkpoint_, runtime::EngineOptions{1}),
+        pool_(one_model(checkpoint_), pool_options(sched_opts)),
+        server_(pool_, server_opts),
         loop_([this] { server_.run(); }) {}
 
   ~LoopbackServer() {
     server_.stop();
     join();
-    scheduler_.shutdown();
+    pool_.shutdown();
+    std::remove(checkpoint_.c_str());
   }
 
-  runtime::InferenceEngine& engine() { return engine_; }
+  runtime::InferenceEngine& reference() { return reference_; }
   net::Server& server() { return server_; }
   uint16_t port() const { return server_.port(); }
   void join() {
@@ -347,8 +353,30 @@ class LoopbackServer {
   }
 
  private:
-  runtime::InferenceEngine engine_;
-  runtime::Scheduler scheduler_;
+  static std::string write_checkpoint() {
+    auto rng = test::rng(17);
+    const core::Doinn model(tiny_config(), rng);
+    const std::string path = "test_net_loopback.bin";
+    core::save_doinn(path, model);
+    return path;
+  }
+  static std::vector<runtime::ModelSpec> one_model(const std::string& ckpt) {
+    runtime::ModelSpec spec;
+    spec.name = "default";
+    spec.checkpoint = ckpt;
+    return {spec};
+  }
+  static runtime::EnginePoolOptions pool_options(
+      const runtime::SchedulerOptions& sched_opts) {
+    runtime::EnginePoolOptions opts;
+    opts.engine = runtime::EngineOptions{1};
+    opts.scheduler = sched_opts;
+    return opts;
+  }
+
+  std::string checkpoint_;
+  runtime::InferenceEngine reference_;
+  runtime::EnginePool pool_;
   net::Server server_;
   std::thread loop_;
 };
@@ -356,13 +384,13 @@ class LoopbackServer {
 TEST(NetServer, SingleRequestMatchesManifestModeBitwise) {
   LoopbackServer fixture;
   const Tensor mask = random_mask(64, 5);
-  const Tensor expected = fixture.engine().predict(mask);
+  const Tensor expected = fixture.reference().predict(mask);
 
   net::Client client("127.0.0.1", fixture.port());
   const Tensor contour = client.predict(42, mask);
 
   // The contour crossed the wire quantized exactly like write_pgm, so
-  // writing it must produce the byte-identical PGM manifest mode writes.
+  // writing it must produce the byte-identical PGM a local predict writes.
   const std::string socket_path = "/tmp/litho_net_socket.pgm";
   const std::string manifest_path = "/tmp/litho_net_manifest.pgm";
   io::write_pgm(socket_path, contour);
@@ -387,7 +415,7 @@ TEST(NetServer, ConcurrentClientsAllGetCorrectContours) {
   std::vector<Tensor> expected;
   for (int i = 0; i < kClients * kPerClient; ++i) {
     masks.push_back(random_mask(64, 100 + static_cast<uint32_t>(i)));
-    expected.push_back(fixture.engine().predict(masks.back()));
+    expected.push_back(fixture.reference().predict(masks.back()));
   }
 
   std::vector<std::string> failures(kClients);
@@ -429,7 +457,7 @@ TEST(NetServer, FullQueueYieldsBusyRepliesNotBlockingOrDrops) {
   LoopbackServer fixture(sched_opts);
 
   const Tensor mask = random_mask(64, 9);
-  const Tensor expected = fixture.engine().predict(mask);
+  const Tensor expected = fixture.reference().predict(mask);
   net::Client client("127.0.0.1", fixture.port());
 
   constexpr int kBurst = 32;
@@ -508,7 +536,7 @@ TEST(NetServer, IdleConnectionReapedWhileActiveOneSurvives) {
   server_opts.idle_timeout_ms = 200;
   LoopbackServer fixture({}, server_opts);
   const Tensor mask = random_mask(64, 31);
-  const Tensor expected = fixture.engine().predict(mask);
+  const Tensor expected = fixture.reference().predict(mask);
 
   net::Client idle("127.0.0.1", fixture.port());
   net::Client active("127.0.0.1", fixture.port());
@@ -533,7 +561,7 @@ TEST(NetServer, IdleConnectionReapedWhileActiveOneSurvives) {
 TEST(NetServer, ShutdownFrameDrainsInFlightRequestsThenStops) {
   LoopbackServer fixture;
   const Tensor mask = random_mask(64, 21);
-  const Tensor expected = fixture.engine().predict(mask);
+  const Tensor expected = fixture.reference().predict(mask);
   net::Client client("127.0.0.1", fixture.port());
   // Predict pipelined ahead of the shutdown: the reply must still arrive.
   client.send_predict(77, mask);

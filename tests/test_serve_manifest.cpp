@@ -1,9 +1,12 @@
-// Tests for doinn_serve's manifest tailing (apps/manifest_tail.h):
-// incremental consumption, unterminated-line handling, --once EOF
-// semantics, CRLF stripping, and the truncation/rotation regression — a
-// manifest that shrinks below the consumed offset used to leave the
-// server idle forever (the stale offset seeked past EOF, so every poll
-// read nothing); it must instead reset and reprocess from the start.
+// Tests for the request-manifest helpers doinn_client uses
+// (apps/manifest_tail.h): the shared line grammar (plain and `model:`
+// requests, malformed lines, comments, blank lines, CR endings,
+// `__shutdown__`), and incremental tailing — consumption, unterminated-line
+// handling, one-shot EOF semantics, CRLF stripping, and the
+// truncation/rotation regression: a manifest that shrinks below the
+// consumed offset used to leave the follower idle forever (the stale
+// offset seeked past EOF, so every poll read nothing); it must instead
+// reset and reprocess from the start.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -15,6 +18,63 @@
 
 namespace litho {
 namespace {
+
+using Kind = apps::ManifestLine::Kind;
+
+TEST(ManifestLine, PlainRequest) {
+  const apps::ManifestLine l = apps::parse_manifest_line("a.pgm a.out");
+  EXPECT_EQ(l.kind, Kind::kRequest);
+  EXPECT_EQ(l.model, "");
+  EXPECT_EQ(l.mask_path, "a.pgm");
+  EXPECT_EQ(l.out_path, "a.out");
+  // Extra fields after the out path are ignored.
+  EXPECT_EQ(apps::parse_manifest_line("a.pgm  a.out extra").out_path, "a.out");
+}
+
+TEST(ManifestLine, ModelPrefixRoutesToNamedModel) {
+  const apps::ManifestLine l =
+      apps::parse_manifest_line("model:beta m.pgm c.pgm");
+  EXPECT_EQ(l.kind, Kind::kRequest);
+  EXPECT_EQ(l.model, "beta");
+  EXPECT_EQ(l.mask_path, "m.pgm");
+  EXPECT_EQ(l.out_path, "c.pgm");
+}
+
+TEST(ManifestLine, EmptyModelNameIsMalformed) {
+  EXPECT_EQ(apps::parse_manifest_line("model: m.pgm c.pgm").kind,
+            Kind::kMalformed);
+  EXPECT_EQ(apps::parse_manifest_line("model:").kind, Kind::kMalformed);
+}
+
+TEST(ManifestLine, MissingOutPathIsMalformed) {
+  EXPECT_EQ(apps::parse_manifest_line("lonely.pgm").kind, Kind::kMalformed);
+  EXPECT_EQ(apps::parse_manifest_line("model:alpha lonely.pgm").kind,
+            Kind::kMalformed);
+}
+
+TEST(ManifestLine, CommentsAndBlankLinesAreSkipped) {
+  EXPECT_EQ(apps::parse_manifest_line("").kind, Kind::kSkip);
+  EXPECT_EQ(apps::parse_manifest_line("   ").kind, Kind::kSkip);
+  EXPECT_EQ(apps::parse_manifest_line("# a.pgm a.out").kind, Kind::kSkip);
+  EXPECT_EQ(apps::parse_manifest_line("\r").kind, Kind::kSkip);
+}
+
+TEST(ManifestLine, CarriageReturnEndingsParseLikeLf) {
+  const apps::ManifestLine l = apps::parse_manifest_line("a.pgm a.out\r");
+  EXPECT_EQ(l.kind, Kind::kRequest);
+  EXPECT_EQ(l.out_path, "a.out");
+  EXPECT_EQ(apps::parse_manifest_line("__shutdown__\r").kind,
+            Kind::kShutdown);
+}
+
+TEST(ManifestLine, ShutdownMarker) {
+  EXPECT_EQ(apps::parse_manifest_line("__shutdown__").kind, Kind::kShutdown);
+  // Only the exact marker ends the stream.
+  EXPECT_NE(apps::parse_manifest_line("__shutdown__ now").kind,
+            Kind::kShutdown);
+  EXPECT_NE(apps::parse_manifest_line(" __shutdown__").kind,
+            Kind::kShutdown);
+}
 
 class ManifestTailTest : public ::testing::Test {
  protected:
