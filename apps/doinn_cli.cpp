@@ -10,12 +10,12 @@
 //                       [--epochs 8] --out weights.bin
 //   doinn_cli predict   --weights weights.bin --mask mask.pgm --out contour.pgm
 //                       [--threads N]   (N=0: DOINN_NUM_THREADS / hardware)
-//                       [--precision fp32|int8|bf16]   (inference storage)
+//                       [--precision fp32|int8]   (inference storage)
 //                       [--no-graph-exec] [--no-autotune]
-//                       [--int8-policy auto|always]
 //                       (--no-graph-exec disables the compiled static-graph
-//                       executor; --int8-policy auto keeps conv shapes where
-//                       int8 doesn't pay in fp32, always packs all int8)
+//                       executor; an int8 engine keeps the conv shapes where
+//                       int8 doesn't pay in fp32, or packs every conv int8
+//                       under --no-autotune)
 //   doinn_cli mrc       --mask mask.pgm [--pixel 16] [--min-feature 48]
 //                       [--min-gap 48]   (mask rule check; exit 1 on violations)
 //
@@ -144,17 +144,18 @@ int cmd_train(const Args& args) {
 }
 
 int cmd_predict(const Args& args) {
+  if (args.has("int8-policy")) {
+    std::fprintf(stderr,
+                 "error: --int8-policy was removed; with autotune on an int8 "
+                 "model keeps the conv shapes where int8 doesn't pay in "
+                 "fp32, and --no-autotune packs every conv int8\n");
+    return 2;
+  }
   runtime::EngineOptions opts;
   opts.num_threads = static_cast<int>(args.get_int("threads", 0));
   opts.precision = parse_precision(args.get("precision", "fp32"));
   opts.use_graph_executor = !args.get_bool("no-graph-exec");
   opts.autotune = !args.get_bool("no-autotune");
-  const std::string int8_policy = args.get("int8-policy", "auto");
-  if (int8_policy == "always") {
-    opts.int8_policy = runtime::EngineOptions::Int8Policy::kAlways;
-  } else if (int8_policy != "auto") {
-    throw std::runtime_error("--int8-policy expects auto or always");
-  }
   runtime::InferenceEngine engine(args.get("weights"), opts);
 
   Tensor mask = io::read_pgm(args.get("mask"));

@@ -3,12 +3,12 @@
 // src/net/server.h.
 //
 //   doinn_serve --weights weights.bin --listen <port> [--replicas 1]
-//               [--precision fp32|int8|bf16] [tuning/observability flags]
+//               [--precision fp32|int8] [tuning/observability flags]
 //   doinn_serve --models registry.txt [--default-model NAME] --listen <port>
 //               [tuning/observability flags]
 //
 // Every model is served through the same core, an EnginePool: --models
-// reads a registry file (`<name> <checkpoint> [fp32|int8|bf16] [replicas]`
+// reads a registry file (`<name> <checkpoint> [fp32|int8] [replicas]`
 // per line; see src/runtime/engine_pool.h), and --weights is a one-line
 // registry — model `default` at --precision with --replicas replicas.
 // Replicas of a model share one set of prepacked weights, so extra
@@ -61,6 +61,7 @@
 #include "runtime/engine_pool.h"
 #include "runtime/metrics_registry.h"
 #include "runtime/trace.h"
+#include "tensor/gemm.h"
 
 using namespace litho;
 
@@ -106,20 +107,19 @@ void dump_observability(const std::string& trace_out,
 void usage() {
   std::printf(
       "usage: doinn_serve --weights weights.bin --listen <port>\n"
-      "                   [--replicas 1] [--precision fp32|int8|bf16]\n"
+      "                   [--replicas 1] [--precision fp32|int8]\n"
       "                   [tuning/observability flags]\n"
       "       doinn_serve --models registry.txt [--default-model NAME]\n"
       "                   --listen <port> [tuning/observability flags]\n"
       "tuning: [--threads N] [--no-graph-exec] [--no-autotune]\n"
-      "        [--int8-policy auto|always] [--max-batch 8]\n"
-      "        [--max-delay-us 2000] [--adaptive-delay] [--queue-cap 64]\n"
-      "        [--idle-timeout-s 60]\n"
+      "        [--max-batch 8] [--max-delay-us 2000] [--adaptive-delay]\n"
+      "        [--queue-cap 64] [--idle-timeout-s 60]\n"
       "observability: [--trace-out trace.json] [--metrics-out m.json]\n"
       "Serves the framed TCP protocol (port 0 binds an ephemeral port,\n"
       "printed on startup); drive it with doinn_client, whose --follow mode\n"
       "tails a request manifest. SIGINT/SIGTERM or a SHUTDOWN frame drain\n"
       "and stop. --models serves several models (and replicas) from one\n"
-      "registry file (<name> <checkpoint> [fp32|int8|bf16] [replicas] per\n"
+      "registry file (<name> <checkpoint> [fp32|int8] [replicas] per\n"
       "line); --weights serves one model named `default`. Replicas of a\n"
       "model share one set of prepacked weights; socket clients pick a\n"
       "model with the protocol-v2 model field (doinn_client --model).\n"
@@ -127,14 +127,15 @@ void usage() {
       "derives the flush delay from the observed arrival rate; --queue-cap\n"
       "bounds each replica's queue (a full queue answers BUSY).\n"
       "--precision selects the inference storage precision (fp32 is\n"
-      "bitwise-exact; int8/bf16 are faster, reduced-accuracy).\n"
+      "bitwise-exact; int8 is faster, reduced-accuracy).\n"
       "--no-graph-exec disables the compiled static-graph executor;\n"
-      "--no-autotune skips load-time kernel autotuning; --int8-policy auto\n"
-      "keeps conv shapes where int8 doesn't pay in fp32, always packs every\n"
-      "conv int8. --idle-timeout-s closes connections with no activity for\n"
-      "that long (0 disables). --trace-out enables tracing and writes\n"
-      "Chrome Trace Event JSON on shutdown; --metrics-out writes a metrics\n"
-      "snapshot; SIGUSR1 dumps both mid-run. See the header of\n"
+      "--no-autotune skips load-time kernel autotuning (an int8 model then\n"
+      "packs every conv int8 instead of keeping the conv shapes where int8\n"
+      "doesn't pay in fp32). --idle-timeout-s closes connections with no\n"
+      "activity for that long (0 disables). --trace-out enables tracing\n"
+      "and writes Chrome Trace Event JSON on shutdown; --metrics-out writes\n"
+      "a metrics snapshot; SIGUSR1 dumps both mid-run. The startup banner\n"
+      "names the GEMM kernel tier in use. See the header of\n"
       "apps/doinn_serve.cpp for details.\n");
 }
 
@@ -188,6 +189,13 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
+    if (args.has("int8-policy")) {
+      std::fprintf(stderr,
+                   "error: --int8-policy was removed; with autotune on an "
+                   "int8 model keeps the conv shapes where int8 doesn't pay "
+                   "in fp32, and --no-autotune packs every conv int8\n");
+      return 2;
+    }
     if (args.get_bool("help") ||
         (!args.has("weights") && !args.has("models")) || !args.has("listen")) {
       usage();
@@ -240,12 +248,6 @@ int main(int argc, char** argv) {
     opts.autotune = !args.get_bool("no-autotune");
     try {
       opts.precision = parse_precision(args.get("precision", "fp32"));
-      const std::string int8_policy = args.get("int8-policy", "auto");
-      if (int8_policy == "always") {
-        opts.int8_policy = runtime::EngineOptions::Int8Policy::kAlways;
-      } else if (int8_policy != "auto") {
-        throw std::invalid_argument("--int8-policy expects auto or always");
-      }
     } catch (const std::invalid_argument& e) {
       std::fprintf(stderr, "error: %s\n", e.what());
       return 2;
@@ -265,12 +267,13 @@ int main(int argc, char** argv) {
     }
     std::printf(
         "doinn_serve: %zu model%s [%s], default %s, %lld px tile, batch<=%d "
-        "within %lld us%s, queue cap %d per replica\n",
+        "within %lld us%s, queue cap %d per replica, kernels %s\n",
         specs.size(), specs.size() == 1 ? "" : "s", models_desc.c_str(),
         pool.default_model().c_str(),
         static_cast<long long>(pool.config("").tile), sched_opts.max_batch,
         static_cast<long long>(sched_opts.max_delay_us),
-        sched_opts.adaptive_delay ? " (adaptive)" : "", sched_opts.queue_cap);
+        sched_opts.adaptive_delay ? " (adaptive)" : "", sched_opts.queue_cap,
+        gemm_kernel_tier());
 
     net::ServerOptions server_opts;
     server_opts.port = static_cast<uint16_t>(port);

@@ -11,10 +11,11 @@
 //
 // A second section covers the load-time prepacking path (tensor/prepack.h):
 // PackedWeight vs per-call PackedA on pack-bound serving GEMM shapes, plus
-// the int8 and bf16 storage modes against the prepacked fp32 baseline. The
+// the int8 storage mode against the prepacked fp32 baseline. The
 // fp32 prepacked result is gated bitwise-identical to the per-call path;
 // the speedup gates are >= 1.15x prepack and >= 2x int8 (>= 1.0x / 1.2x
-// under --quick, whose single rep is too noisy for the tight bounds).
+// under --quick, whose single rep is too noisy for the tight bounds). The
+// JSON names the dispatched micro-kernel tier ("kernel_tier").
 //
 // Usage: bench_gemm_micro [reps] [--quick]   (exit 0 iff parity,
 // determinism and the speedup gates hold; --quick is the CI smoke mode)
@@ -229,7 +230,8 @@ void write_json(const char* path, double prepack_x, double int8_x,
                 double prepack_gate, double int8_gate, bool bitwise) {
   FILE* f = std::fopen(path, "w");
   if (!f) return;
-  std::fprintf(f, "{\n  \"gemm\": [\n");
+  std::fprintf(f, "{\n  \"kernel_tier\": \"%s\",\n  \"gemm\": [\n",
+               litho::gemm_kernel_tier());
   write_rows(f, g_rows, "legacy_ms");
   std::fprintf(f, "  ],\n  \"precision\": [\n");
   write_rows(f, g_prec, "base_ms");
@@ -256,10 +258,12 @@ int main(int argc, char** argv) {
     }
   }
   litho::bench::banner("bench_gemm_micro: packed tiled GEMM + implicit im2col");
-  std::printf("threads=%d reps=%d  (MR=%lld NR=%lld KC=%lld NC=%lld)\n\n",
-              litho::runtime::ThreadPool::default_num_threads(), reps,
-              (long long)litho::kGemmMR, (long long)litho::kGemmNR,
-              (long long)litho::kGemmKC, (long long)litho::kGemmNC);
+  std::printf(
+      "threads=%d reps=%d  (MR=%lld NR=%lld KC=%lld NC=%lld, kernels %s)\n\n",
+      litho::runtime::ThreadPool::default_num_threads(), reps,
+      (long long)litho::kGemmMR, (long long)litho::kGemmNR,
+      (long long)litho::kGemmKC, (long long)litho::kGemmNC,
+      litho::gemm_kernel_tier());
   std::printf("%-26s %-18s %12s %12s %8s\n", "case", "shape", "legacy", "packed",
               "speedup");
 
@@ -410,7 +414,7 @@ int main(int argc, char** argv) {
   }
 
   // -- Prepack & precision: load-time PackedWeight vs per-call PackedA and
-  // the reduced-precision storage modes (tensor/prepack.h). Gated shapes
+  // the int8 storage mode (tensor/prepack.h). Gated shapes
   // are pack-bound serving GEMMs — few output pixels per weight element:
   // a deep 3x3 conv and a transposed-layout 2x2 decoder weight, both
   // contracting against an 8x8 feature grid. The 64 px refine conv shape
@@ -443,7 +447,7 @@ int main(int argc, char** argv) {
       std::snprintf(shape, sizeof(shape), "%lldx%lldx%lld",
                     (long long)ps.m, (long long)ps.k, (long long)ps.n);
       Tensor c_pc({ps.m, ps.n}), c_pp({ps.m, ps.n});
-      Tensor c_i8({ps.m, ps.n}), c_bf({ps.m, ps.n});
+      Tensor c_i8({ps.m, ps.n});
 
       const double t_percall = best_seconds(reps, [&] {
         litho::PackedA pa(ps.layout, a.data(), ps.m, ps.k);
@@ -475,29 +479,20 @@ int main(int argc, char** argv) {
                                    blk, c_i8.data(), nullptr);
         }
       });
-      const litho::PackedWeight pwb(ps.layout, a.data(), ps.m, ps.k,
-                                    litho::Precision::kBf16);
-      const double t_bf = best_seconds(reps, [&] {
-        for (int64_t blk = 0; blk < blocks; ++blk) {
-          litho::gemm_col_block_bf16(pwb, bp, ps.n, blk, c_bf.data());
-        }
-      });
 
       report_prec(std::string("prepack fp32 ") + ps.label, shape, t_percall,
                   t_prepack);
       report_prec(std::string("int8 ") + ps.label, shape, t_prepack, t_i8);
-      report_prec(std::string("bf16 ") + ps.label, shape, t_prepack, t_bf);
       if (ps.gated) {
         prepack_x = std::min(prepack_x, t_percall / t_prepack);
         int8_x = std::min(int8_x, t_prepack / t_i8);
       }
-      // Reduced precision must stay close to fp32 (quantization noise
+      // Int8 must stay close to fp32 (quantization noise
       // only): a cheap sanity bound, the tight contour-level bound lives
       // in tests/test_precision.cpp.
       const double mag = std::max(1.0, (double)litho::max_abs(
                                            c_pp.data(), c_pp.numel()));
       ok = ok && max_abs_diff(c_i8, c_pp) < 0.05 * mag;
-      ok = ok && max_abs_diff(c_bf, c_pp) < 0.05 * mag;
     }
   }
 

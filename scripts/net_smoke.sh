@@ -19,7 +19,10 @@
 #   - a two-model, two-replica `--models` registry server routes socket
 #     traffic by the protocol-v2 model field, the `model:` manifest prefix
 #     and --model to the right model, byte-identical to per-model local
-#     predictions.
+#     predictions;
+#   - retired inputs fail at startup with a message naming the
+#     replacement: `--precision bf16`, `--int8-policy`, and a registry line
+#     naming bf16.
 #
 # Usage: scripts/net_smoke.sh [build-dir]   (defaults to ./build)
 # Set DOINN_SMOKE_ARTIFACTS=<dir> to copy trace/metrics JSON and server
@@ -96,6 +99,32 @@ echo "== training two tiny models =="
   --out "$WORK/weights.bin"
 "$BUILD/doinn_cli" train --kind via --tile 64 --count 2 --epochs 2 \
   --out "$WORK/weights_b.bin"
+
+echo "== retired precision inputs are rejected at startup =="
+# expect_rejected <message regex> <doinn_serve args...>: the server must
+# exit nonzero before listening, naming the replacement in its message.
+expect_rejected() {
+  local want=$1
+  shift
+  local status=0
+  timeout 60 "$BUILD/doinn_serve" "$@" > "$WORK/rejected.log" 2>&1 ||
+    status=$?
+  if [ "$status" -eq 0 ] || [ "$status" -eq 124 ] ||
+    ! grep -q -- "$want" "$WORK/rejected.log"; then
+    echo "net_smoke: doinn_serve $* should fail naming '$want'" \
+      "(exit $status)" >&2
+    cat "$WORK/rejected.log" >&2
+    exit 1
+  fi
+  echo "rejected (exit $status): $(head -n 1 "$WORK/rejected.log")"
+}
+expect_rejected "expected fp32 or int8" --weights "$WORK/weights.bin" \
+  --listen 0 --precision bf16
+expect_rejected "--no-autotune" --weights "$WORK/weights.bin" --listen 0 \
+  --int8-policy always
+echo "gamma $WORK/weights.bin bf16 1" > "$WORK/bf16_registry.txt"
+expect_rejected "want fp32|int8" --models "$WORK/bf16_registry.txt" \
+  --listen 0
 
 echo "== generating masks and doinn_cli predict references =="
 for i in 1 2 3 4; do

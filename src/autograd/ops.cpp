@@ -334,9 +334,6 @@ void conv2d_prepacked_run(const ConvDims& d, const PackedWeight& wp,
           gemm_col_block_i8(wp, bp, inv_bscale[s], combined + s * d.cout, l,
                             blk, cs, bias, ep);
           break;
-        case Precision::kBf16:
-          gemm_col_block_bf16(wp, bp, l, blk, cs, ep);
-          break;
       }
     }
   });
@@ -387,9 +384,6 @@ void conv_transpose2d_prepacked_run(const ConvDims& d, const PackedWeight& wp,
             // output plane, not the column matrix).
             gemm_col_block_i8(wp, bp, inv_bscale, scales->data(), l, blk,
                               col.data(), /*bias=*/nullptr, ep);
-            break;
-          case Precision::kBf16:
-            gemm_col_block_bf16(wp, bp, l, blk, col.data(), ep);
             break;
         }
       }

@@ -82,7 +82,6 @@ void InferenceEngine::init_graph_executor(bool owns_model_prepack) {
   const int64_t tile = config().tile;
 
   if (owns_model_prepack && precision_ == litho::Precision::kInt8 &&
-      opts_.int8_policy == EngineOptions::Int8Policy::kAuto &&
       opts_.autotune) {
     // Capture once over the all-int8 packs to enumerate the conv GEMM shapes
     // this model actually runs, benchmark fp32 vs int8 per shape, and repack

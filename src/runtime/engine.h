@@ -24,8 +24,11 @@ struct EngineOptions {
   /// (DOINN_NUM_THREADS env var, else hardware concurrency).
   int num_threads = 0;
   /// Inference storage precision (tensor/prepack.h). kFp32 keeps the engine
-  /// bitwise identical to the per-call-packing path; kInt8/kBf16 trade
-  /// accuracy for speed with their own per-mode determinism guarantees.
+  /// bitwise identical to the per-call-packing path; kInt8 trades
+  /// accuracy for speed with its own determinism guarantee. With autotune
+  /// on, a kInt8 engine times fp32 vs int8 per conv GEMM shape and packs
+  /// the shapes where quantization doesn't pay in fp32; with autotune off
+  /// every conv is packed int8.
   litho::Precision precision = litho::Precision::kFp32;
   /// Compile forwards into the static graph executor (per-shape capture,
   /// arena-planned buffers, fused GEMM epilogues); every plan is validated
@@ -36,12 +39,6 @@ struct EngineOptions {
   /// feed) when building plans; knobs are bitwise-neutral, so this trades
   /// load time for steady-state speed only.
   bool autotune = true;
-  /// How kInt8 engines pack conv weights. kAuto (with autotune on) times
-  /// fp32 vs int8 per conv GEMM shape and keeps the shapes where
-  /// quantization doesn't pay in fp32; kAlways packs every conv int8
-  /// (manual override, the pre-executor behavior).
-  enum class Int8Policy { kAuto, kAlways };
-  Int8Policy int8_policy = Int8Policy::kAuto;
 };
 
 /// Thread-safe, inference-only front end over a Doinn model. The model is

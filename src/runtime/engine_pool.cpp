@@ -40,7 +40,7 @@ std::vector<ModelSpec> parse_registry_stream(std::istream& in) {
       } catch (const std::invalid_argument&) {
         registry_error(line_no, line,
                        "bad precision \"" + precision_word +
-                           "\" (want fp32|int8|bf16)");
+                           "\" (want fp32|int8)");
       }
       std::string replicas_word;
       if (fields >> replicas_word) {

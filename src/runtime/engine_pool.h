@@ -53,7 +53,7 @@ struct ModelSpec {
 ///
 ///   <name> <checkpoint-path> [precision] [replicas]
 ///
-/// where precision is fp32|int8|bf16 (default fp32) and replicas >= 1
+/// where precision is fp32|int8 (default fp32) and replicas >= 1
 /// (default 1). Blank lines and lines starting with '#' are skipped.
 /// Model names must be non-empty, unique, and free of whitespace (they
 /// travel in protocol frames and metric names). Throws

@@ -508,7 +508,15 @@ Precision tuned_conv_precision(bool transposed, int64_t m, int64_t k,
   const Precision pick =
       t8 < t32 * 0.95 ? Precision::kInt8 : Precision::kFp32;
   std::lock_guard<std::mutex> lock(prec_mutex);
-  return prec_cache().emplace(key, pick).first->second;  // first decision wins
+  const auto [it, inserted] = prec_cache().emplace(key, pick);
+  if (inserted) {  // first decision wins; a racing duplicate is not traced
+    // Three int args is the trace cap, so the layout rides in the string
+    // arg's key: {"conv"|"convT": "fp32"|"int8"}.
+    trace::emit_instant("exec.precision.choice", "exec",
+                        {{"m", m}, {"k", k}, {"l", l}},
+                        transposed ? "convT" : "conv", precision_name(pick));
+  }
+  return it->second;
 }
 
 }  // namespace litho::runtime

@@ -72,8 +72,8 @@ extern template class BasicWorkspacePool<int8_t>;
 using WorkspacePool = BasicWorkspacePool<std::complex<double>>;
 /// Float scratch pool used by the GEMM engine and the conv kernels.
 using FloatWorkspacePool = BasicWorkspacePool<float>;
-/// Byte scratch pool used by the reduced-precision inference path (int8 /
-/// bf16 panel staging — bf16 leases bytes and views them as uint16).
+/// Byte scratch pool used by the int8 inference path (quantized B panels,
+/// and the int32 partial sums parked between K chunks, viewed as int32).
 using Int8WorkspacePool = BasicWorkspacePool<int8_t>;
 
 /// RAII lease of pooled scratch. Not thread-safe itself (one lease per

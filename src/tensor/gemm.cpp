@@ -63,7 +63,7 @@ void run_col_block(const PackedPanelsView* pa, GemmLayout layout,
                    const float* a_raw, int64_t m, int64_t k,
                    const BPanelPacker& bp, int64_t n, int64_t block, float* c,
                    const GemmEpilogue& ep) {
-  const detail::MicroKernelTable& kern = detail::micro_kernels();
+  const detail::KernelTable& kern = detail::kernels();
   const int64_t nc = ep.nc > 0 ? ep.nc : kGemmNC;
   const int64_t j0 = block * nc;
   const int64_t j1 = std::min(j0 + nc, n);
@@ -383,6 +383,8 @@ void packed_gemm(GemmLayout layout, const float* a, const float* b, float* c,
     });
   }
 }
+
+const char* gemm_kernel_tier() { return detail::kernels().name; }
 
 void gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
           int64_t n) {

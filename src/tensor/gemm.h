@@ -106,7 +106,7 @@ struct GemmEpilogue {
 
 /// Applies ep.post (and nothing else) to rows [0,m) x columns [j0,j1) of a
 /// finished C block with row stride n. Shared by the fp32 engine and the
-/// int8/bf16 write-backs in tensor/prepack.cpp.
+/// int8 write-back in tensor/prepack.cpp.
 void apply_gemm_post(const GemmEpilogue& ep, float* c, int64_t n, int64_t m,
                      int64_t j0, int64_t j1);
 
@@ -243,6 +243,10 @@ void gemm_col_block(GemmLayout layout, const float* a, int64_t m, int64_t k,
 /// runtime::parallel_for. C(MxN) = op(A)·op(B) per @p layout and @p ep.
 void packed_gemm(GemmLayout layout, const float* a, const float* b, float* c,
                  int64_t m, int64_t k, int64_t n, const GemmEpilogue& ep = {});
+
+/// Name of the micro-kernel tier this process dispatches to ("avxvnni",
+/// "avx2" or "baseline"); every tier computes the same bits.
+const char* gemm_kernel_tier();
 
 // -- Legacy-compatible entry points -------------------------------------------
 // The seed's three naive kernels, now thin wrappers over the packed engine

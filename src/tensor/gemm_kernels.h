@@ -1,21 +1,29 @@
 // Internal micro-kernel dispatch table for the packed GEMM engine.
 //
-// The register micro-kernel is the only part of the engine whose speed
-// depends on vector width, so its one templated body
-// (gemm_kernels_body.inc) is compiled twice: once at the portable baseline
-// (SSE2 on x86-64) and once with AVX2 enabled — but NOT FMA. That matters:
-// 8-wide vmulps/vaddps round each lane exactly like their scalar/SSE
-// counterparts, so the AVX2 table produces bitwise-identical results and
-// only changes throughput; a fused multiply-add would round differently
-// and break the engine's "bitwise identical to the seed kernels" contract.
-// micro_kernels() picks the widest table the running CPU supports, once.
+// The register micro-kernels are the only part of the engine whose speed
+// depends on the ISA, so their one body (gemm_kernels_body.inc) is compiled
+// once per tier, each TU with its own flags:
+//  - baseline: the portable ISA (SSE2 on x86-64), always runnable;
+//  - avx2:     -mavx2 but NOT FMA — 8-wide vmulps/vaddps round each lane
+//              exactly like their scalar/SSE counterparts, whereas a fused
+//              multiply-add would round differently and break the engine's
+//              bitwise contract;
+//  - avxvnni:  -mavx2 -mavxvnni — the same fp32 bodies as avx2, plus the
+//              int8 hot loop as one vpdpbusd per u8 x s8 k-quad where avx2
+//              needs a widen and two vpmaddwd partial sums.
+// Every tier computes identical bits (fp32: one running sum per C element
+// in strictly increasing k order; int8: exact int32 sums), so the dispatch
+// choice changes throughput only. kernels() picks the widest runnable tier
+// once per process.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 namespace litho::detail {
 
-struct MicroKernelTable {
+struct KernelTable {
+  // -- fp32 ------------------------------------------------------------------
   // Full MR x NR tile: C directly read/written with row stride ldc.
   using Fn = void (*)(int64_t klen, const float* ap, const float* bp,
                       int64_t bstride, float* c, int64_t ldc, bool init,
@@ -39,25 +47,8 @@ struct MicroKernelTable {
                               const float* b1, int64_t bstride, float* pack0,
                               float* pack1, float* c, int64_t ldc, bool init,
                               const float* bias);
-  Fn add = nullptr;        // C (+)= A·B
-  Fn sub = nullptr;        // C -= A·B
-  EdgeFn add_edge = nullptr;
-  EdgeFn sub_edge = nullptr;
-  PairFn add_pair = nullptr;
-  PairFn sub_pair = nullptr;
-  PairPackFn add_pair_pack = nullptr;
-};
 
-// Reduced-precision micro-kernels for the prepacked inference path
-// (tensor/prepack.h). The int8 kernels contract signed weight k-quads
-// against unsigned (+128-shifted) activation k-quads in int32 — integer
-// arithmetic is exact, so every ISA instantiation produces identical
-// accumulators and the fp32 dequantization on write-back is one mul + one
-// add per element. The
-// bf16 kernels widen both operands to fp32 and accumulate exactly like the
-// fp32 kernels (strictly increasing k, no fusion), so the bf16 mode keeps
-// the engine's thread-count determinism.
-struct QuantKernelTable {
+  // -- int8 (prepacked inference path, tensor/prepack.h) ---------------------
   // One MR x NR int8 tile over one K chunk (kquads packed k-quads):
   // acc[r*ldacc + j] += SUM_k a(r,k) * bu(k,j), exact in int32, where `ap`
   // holds kquads x MR x 4 signed weight bytes (one int32-sized broadcast
@@ -89,46 +80,44 @@ struct QuantKernelTable {
   // dst[(k/4)*32 + j*4 + k%4] = rne(v * inv_scale) + 128 (the shift keeps
   // the value in [1, 255]; inv_scale = 127/max|B| bounds the rounded
   // magnitude by 127, so nothing clips). Trailing k up to the quad boundary
-  // pads with the zero-point 128. Both instantiations round identically
+  // pads with the zero-point 128. Every tier rounds identically
   // (cvtps2dq / lrintf under the default RNE mode), so the packed values do
   // not depend on the dispatched table.
   using I8QuantFn = void (*)(const float* src, int64_t klen, float inv_scale,
                              uint8_t* dst);
-  // Full MR x NR bf16 tile, fp32 accumulation, same init/park-in-C protocol
-  // as the fp32 kernels. `ap` is a bf16 PackedA-layout panel, `bp` a packed
-  // klen x NR bf16 panel.
-  using Bf16Fn = void (*)(int64_t klen, const uint16_t* ap,
-                          const uint16_t* bp, float* c, int64_t ldc,
-                          bool init, const float* bias);
-  using Bf16EdgeFn = void (*)(int64_t klen, const uint16_t* ap,
-                              const uint16_t* bp, float* c, int64_t ldc,
-                              int64_t mr, int64_t nr, bool init,
-                              const float* bias);
+
+  Fn add = nullptr;        // C (+)= A·B
+  Fn sub = nullptr;        // C -= A·B
+  EdgeFn add_edge = nullptr;
+  EdgeFn sub_edge = nullptr;
+  PairFn add_pair = nullptr;
+  PairFn sub_pair = nullptr;
+  PairPackFn add_pair_pack = nullptr;
   I8Fn i8 = nullptr;
   I8PairFn i8x2 = nullptr;
   I8QuantFn i8_quant = nullptr;
-  Bf16Fn bf16 = nullptr;
-  Bf16EdgeFn bf16_edge = nullptr;
+  const char* name = nullptr;  // tier: "baseline", "avx2" or "avxvnni"
 };
 
-/// Baseline-ISA instantiation (always available).
-const MicroKernelTable& baseline_kernels();
+/// One table per tier TU. Each returns nullptr unless its TU was built for
+/// the tier's ISA and the running CPU reports the feature; the baseline
+/// tier is always available.
+namespace baseline {
+const KernelTable* tier();
+}
+namespace avx2 {
+const KernelTable* tier();
+}
+namespace avxvnni {
+const KernelTable* tier();
+}
 
-/// AVX2 (no FMA) instantiation; falls back to the baseline body when the
-/// toolchain/target can't build AVX2. Only called after a cpuid check.
-const MicroKernelTable& avx2_kernels();
+/// Every tier this process can run, widest first; the baseline tier is
+/// always last.
+std::vector<const KernelTable*> runnable_tiers();
 
-/// The table for this machine, resolved once per process.
-const MicroKernelTable& micro_kernels();
-
-/// Reduced-precision tables, same dispatch scheme as the fp32 ones, plus an
-/// AVX-VNNI tier: vpdpbusd contracts a whole u8 x s8 k-quad per uop where
-/// the plain AVX2 table needs a widen + two vpmaddwd partial sums; all
-/// tiers compute identical exact int32 sums, so the dispatch choice changes
-/// throughput only, never bits.
-const QuantKernelTable& baseline_quant_kernels();
-const QuantKernelTable& avx2_quant_kernels();
-const QuantKernelTable& avxvnni_quant_kernels();
-const QuantKernelTable& quant_kernels();
+/// The table for this machine (the front of runnable_tiers()), resolved
+/// once per process.
+const KernelTable& kernels();
 
 }  // namespace litho::detail

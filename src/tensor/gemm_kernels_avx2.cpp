@@ -1,23 +1,21 @@
-// AVX2 instantiation of the GEMM micro-kernel. CMake compiles this TU with
-// -mavx2 (and ONLY -mavx2 — no FMA, which would change rounding and break
-// the engine's bitwise contract) on x86-64 GNU/Clang toolchains; elsewhere
-// it is built at the baseline ISA and simply duplicates that table. The
-// dispatcher calls avx2_kernels() only after __builtin_cpu_supports("avx2")
-// says the instructions are safe to execute.
+// AVX2 tier of the GEMM micro-kernels. CMake compiles this TU with -mavx2
+// (and ONLY -mavx2 — no FMA, which would change rounding and break the
+// engine's bitwise contract) on x86-64 GNU/Clang toolchains; elsewhere it
+// is built at the baseline ISA and the tier reports itself unavailable.
 #define DOINN_KERNEL_NS avx2
 #include "tensor/gemm_kernels_body.inc"
 #undef DOINN_KERNEL_NS
 
-namespace litho::detail {
+namespace litho::detail::avx2 {
 
-const MicroKernelTable& avx2_kernels() {
-  static const MicroKernelTable t = avx2::make_table();
-  return t;
+const KernelTable* tier() {
+#if defined(__AVX2__) && (defined(__GNUC__) || defined(__clang__))
+  if (__builtin_cpu_supports("avx2")) {
+    static const KernelTable t = make_table();
+    return &t;
+  }
+#endif
+  return nullptr;
 }
 
-const QuantKernelTable& avx2_quant_kernels() {
-  static const QuantKernelTable t = avx2::make_quant_table();
-  return t;
-}
-
-}  // namespace litho::detail
+}  // namespace litho::detail::avx2

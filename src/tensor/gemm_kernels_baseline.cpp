@@ -1,52 +1,27 @@
-// Baseline-ISA instantiation of the GEMM micro-kernel plus the runtime
-// dispatcher (see gemm_kernels.h).
+// Baseline tier of the GEMM micro-kernels (always runnable) plus the
+// runtime dispatcher (see gemm_kernels.h).
 #define DOINN_KERNEL_NS baseline
 #include "tensor/gemm_kernels_body.inc"
 #undef DOINN_KERNEL_NS
 
 namespace litho::detail {
-namespace {
 
-const MicroKernelTable& resolve() {
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  if (__builtin_cpu_supports("avx2")) return avx2_kernels();
-#endif
-  return baseline_kernels();
+const KernelTable* baseline::tier() {
+  static const KernelTable t = make_table();
+  return &t;
 }
 
-const QuantKernelTable& resolve_quant() {
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  // The avxvnni probe needs a compiler new enough to know the feature name
-  // (GCC 11 / Clang 12, the same versions that accept -mavxvnni, so the
-  // guard and the TU's build flags stay in lockstep).
-#if (defined(__clang__) && __clang_major__ >= 12) || \
-    (!defined(__clang__) && defined(__GNUC__) && __GNUC__ >= 11)
-  if (__builtin_cpu_supports("avxvnni")) return avxvnni_quant_kernels();
-#endif
-  if (__builtin_cpu_supports("avx2")) return avx2_quant_kernels();
-#endif
-  return baseline_quant_kernels();
+std::vector<const KernelTable*> runnable_tiers() {
+  std::vector<const KernelTable*> tiers;
+  for (const KernelTable* t : {avxvnni::tier(), avx2::tier()}) {
+    if (t != nullptr) tiers.push_back(t);
+  }
+  tiers.push_back(baseline::tier());
+  return tiers;
 }
 
-}  // namespace
-
-const MicroKernelTable& baseline_kernels() {
-  static const MicroKernelTable t = baseline::make_table();
-  return t;
-}
-
-const MicroKernelTable& micro_kernels() {
-  static const MicroKernelTable& t = resolve();
-  return t;
-}
-
-const QuantKernelTable& baseline_quant_kernels() {
-  static const QuantKernelTable t = baseline::make_quant_table();
-  return t;
-}
-
-const QuantKernelTable& quant_kernels() {
-  static const QuantKernelTable& t = resolve_quant();
+const KernelTable& kernels() {
+  static const KernelTable& t = *runnable_tiers().front();
   return t;
 }
 

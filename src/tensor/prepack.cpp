@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 
 #include "runtime/trace.h"
@@ -26,8 +25,6 @@ const char* precision_name(Precision p) {
       return "fp32";
     case Precision::kInt8:
       return "int8";
-    case Precision::kBf16:
-      return "bf16";
   }
   return "fp32";
 }
@@ -35,28 +32,8 @@ const char* precision_name(Precision p) {
 Precision parse_precision(const std::string& name) {
   if (name == "fp32") return Precision::kFp32;
   if (name == "int8") return Precision::kInt8;
-  if (name == "bf16") return Precision::kBf16;
   throw std::invalid_argument("unknown precision '" + name +
-                              "' (expected fp32, int8 or bf16)");
-}
-
-uint16_t fp32_to_bf16(float v) {
-  uint32_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  if ((bits & 0x7fffffffu) > 0x7f800000u) {
-    // NaN: keep the sign, force a quiet payload that survives truncation.
-    return static_cast<uint16_t>((bits >> 16) | 0x0040u);
-  }
-  const uint32_t lsb = (bits >> 16) & 1u;
-  bits += 0x7fffu + lsb;  // round to nearest, ties to even
-  return static_cast<uint16_t>(bits >> 16);
-}
-
-float bf16_to_fp32(uint16_t v) {
-  const uint32_t bits = static_cast<uint32_t>(v) << 16;
-  float f;
-  std::memcpy(&f, &bits, sizeof(f));
-  return f;
+                              "' (expected fp32 or int8)");
 }
 
 float max_abs(const float* v, int64_t n) {
@@ -81,14 +58,13 @@ int64_t PackedWeight::total_allocated_bytes() {
 PackedWeight::PackedWeight(GemmLayout layout, const float* a, int64_t m,
                            int64_t k, Precision precision)
     : precision_(precision), m_(std::max<int64_t>(m, 0)), k_(std::max<int64_t>(k, 0)) {
-  // Every exit path (fp32 / bf16 / int8) lands the final buffer sizes in
+  // Both exit paths (fp32 / int8) land the final buffer sizes in
   // the process-wide byte counter via this scope guard.
   struct BytesGuard {
     const PackedWeight& w;
     ~BytesGuard() {
       g_packed_weight_bytes.fetch_add(
           static_cast<int64_t>(w.f32_.capacity() * sizeof(float) +
-                               w.bf16_.capacity() * sizeof(uint16_t) +
                                w.i8_.capacity() * sizeof(int8_t) +
                                w.rowsum_.capacity() * sizeof(int32_t) +
                                w.scales_.capacity() * sizeof(float)),
@@ -104,25 +80,18 @@ PackedWeight::PackedWeight(GemmLayout layout, const float* a, int64_t m,
     }
     return;
   }
-  // Reduced precision: pack the exact fp32 panels into pooled scratch
-  // first, then convert — the panel walk is identical to the fp32 mode, so
-  // every quantized value derives from the same packed layout.
+  // Int8: pack the exact fp32 panels into pooled scratch first, then
+  // quantize — the panel walk is identical to the fp32 mode, so every
+  // quantized value derives from the same packed layout.
   runtime::FloatWorkspace tmp(static_cast<size_t>(panel_floats));
   std::fill(tmp.data(), tmp.data() + panel_floats, 0.f);
   if (m_ > 0 && k_ > 0) {
     detail::pack_a_panels(layout, a, m_, k_, 0, m_, 0, k_, tmp.data());
   }
-  if (precision_ == Precision::kBf16) {
-    bf16_.resize(static_cast<size_t>(panel_floats));
-    for (int64_t i = 0; i < panel_floats; ++i) {
-      bf16_[static_cast<size_t>(i)] = fp32_to_bf16(tmp.data()[i]);
-    }
-    return;
-  }
-  // kInt8: symmetric per-output-row quantization (zero-point 0). All-zero
+  // Symmetric per-output-row quantization (zero-point 0). All-zero
   // rows get scale 0 and quantize to 0. Rounding is nearest-even — the same
   // mode the on-the-fly B quantizer uses. K is capped by the int32
-  // accumulator budget of the micro-kernel (see QuantKernelTable).
+  // accumulator budget of the micro-kernel (see KernelTable::I8Fn).
   if (k_ > (int64_t{1} << 16)) {
     throw std::invalid_argument(
         "int8 prepacking supports K extents up to 2^16");
@@ -161,7 +130,7 @@ void gemm_col_block_i8(const PackedWeight& a, const BPanelPacker& bp,
                        float inv_b_scale, const float* combined_scales,
                        int64_t n, int64_t block, float* c, const float* bias,
                        const GemmEpilogue& ep) {
-  const detail::QuantKernelTable& kern = detail::quant_kernels();
+  const detail::KernelTable& kern = detail::kernels();
   const int64_t m = a.m(), k = a.k();
   const int64_t nc = ep.nc > 0 ? ep.nc : kGemmNC;
   const int64_t j0 = block * nc;
@@ -179,7 +148,7 @@ void gemm_col_block_i8(const PackedWeight& a, const BPanelPacker& bp,
   }
   const int64_t mtiles = ceil_div(m, MR);
   // Two j-tiles at a time, K in kKC chunks: each chunk's quantized pair of
-  // B panels (u8 k-quads, see QuantKernelTable) fits L1 and stays hot
+  // B panels (u8 k-quads, see KernelTable::I8Fn) fits L1 and stays hot
   // across the whole m extent, while partial sums park per m-tile in int32
   // scratch — integer addition is exact, so the chunked schedule produces
   // the same sums as one full-K pass. The write-back removes the +128
@@ -237,65 +206,6 @@ void gemm_col_block_i8(const PackedWeight& a, const BPanelPacker& bp,
             const float v = static_cast<float>(arow[u * NR + j] - corr) * s;
             crow[u * NR + j] = bias ? v + bias[i] : v;
           }
-        }
-      }
-    }
-  }
-  apply_gemm_post(ep, c, n, m, j0, j1);
-}
-
-void gemm_col_block_bf16(const PackedWeight& a, const BPanelPacker& bp,
-                         int64_t n, int64_t block, float* c,
-                         const GemmEpilogue& ep) {
-  const detail::QuantKernelTable& kern = detail::quant_kernels();
-  const int64_t m = a.m(), k = a.k();
-  const int64_t nc = ep.nc > 0 ? ep.nc : kGemmNC;
-  const int64_t j0 = block * nc;
-  const int64_t j1 = std::min(j0 + nc, n);
-  if (m <= 0 || j0 >= j1) return;
-  DOINN_TRACE_SCOPE("gemm.col_block_bf16", "gemm", "m", m, "k", k, "cols",
-                    j1 - j0);
-  if (k <= 0) {
-    if (!ep.accumulate) {
-      for (int64_t i = 0; i < m; ++i) {
-        const float v = ep.bias ? ep.bias[i] : 0.f;
-        for (int64_t j = j0; j < j1; ++j) c[i * n + j] = v;
-      }
-      apply_gemm_post(ep, c, n, m, j0, j1);
-    }
-    return;
-  }
-  const int64_t mtiles = ceil_div(m, MR);
-  const int64_t jt_count = ceil_div(j1 - j0, NR);
-  runtime::FloatWorkspace fws(static_cast<size_t>(kGemmKC * NR));
-  // bf16 panel scratch leased from the byte pool, one j-tile per K step.
-  runtime::Int8Workspace bq(
-      static_cast<size_t>(kGemmKC * NR * static_cast<int64_t>(sizeof(uint16_t))));
-  uint16_t* bpan = reinterpret_cast<uint16_t*>(bq.data());
-  // K steps outermost so partials park in C exactly like the fp32 engine:
-  // per-element arithmetic is one fp32 running sum in increasing k order.
-  for (int64_t k0 = 0; k0 < k; k0 += kGemmKC) {
-    const int64_t klen = std::min(kGemmKC, k - k0);
-    const bool init = (k0 == 0) && !ep.accumulate;
-    const bool last = (k0 + klen == k);
-    const float* bias = last ? ep.bias : nullptr;
-    for (int64_t t = 0; t < jt_count; ++t) {
-      const int64_t c0 = j0 + t * NR;
-      const int64_t nr = std::min(NR, j1 - c0);
-      bp.pack(k0, k0 + klen, c0, c0 + nr, fws.data());
-      for (int64_t i = 0; i < klen * NR; ++i) {
-        bpan[i] = fp32_to_bf16(fws.data()[i]);
-      }
-      for (int64_t it = 0; it < mtiles; ++it) {
-        const int64_t r0 = it * MR;
-        const int64_t mr = std::min(MR, m - r0);
-        float* ct = c + r0 * n + c0;
-        const float* brow = bias ? bias + r0 : nullptr;
-        if (mr == MR && nr == NR) {
-          kern.bf16(klen, a.bf16_panel(it, k0), bpan, ct, n, init, brow);
-        } else {
-          kern.bf16_edge(klen, a.bf16_panel(it, k0), bpan, ct, n, mr, nr,
-                         init, brow);
         }
       }
     }

@@ -1,4 +1,4 @@
-// Load-time weight prepacking and reduced-precision inference storage.
+// Load-time weight prepacking and int8 inference storage.
 //
 // packed_gemm re-packs its A (weight) operand into the 4x8 panel layout on
 // every call, even though inference weights are immutable after load. A
@@ -22,14 +22,8 @@
 //    128 * rowsum(weights) shift in integer math and applies
 //    scale[i]*b_scale (+bias) in fp32. Bitwise deterministic for any
 //    thread count or batch split.
-//  - kBf16: panels and B panels are stored as round-to-nearest-even bf16
-//    and widened back to fp32 inside the kernel; accumulation stays fp32 in
-//    strictly increasing k order, so the mode keeps the engine's
-//    determinism contract (identical bits for any thread count) while
-//    halving panel traffic. Results differ from fp32 only by the storage
-//    rounding.
 //
-// Every mode keeps its own bitwise-determinism guarantee; only kFp32
+// Both modes keep their own bitwise-determinism guarantee; only kFp32
 // additionally guarantees identity with the non-prepacked engine.
 #pragma once
 
@@ -42,19 +36,13 @@
 namespace litho {
 
 /// Inference storage precision for prepacked weights and B panels.
-enum class Precision { kFp32, kInt8, kBf16 };
+enum class Precision { kFp32, kInt8 };
 
-/// "fp32" / "int8" / "bf16" (CLI flag values).
+/// "fp32" / "int8" (CLI flag values).
 const char* precision_name(Precision p);
 
 /// Parses a --precision flag value; throws std::invalid_argument otherwise.
 Precision parse_precision(const std::string& name);
-
-/// Round-to-nearest-even fp32 -> bf16 truncation (the top 16 bits of the
-/// fp32 pattern after RNE on bit 16). NaN payloads are quietened.
-uint16_t fp32_to_bf16(float v);
-/// Exact widening bf16 -> fp32 (low mantissa bits zero).
-float bf16_to_fp32(uint16_t v);
 
 /// A GEMM A operand packed once into the engine's panel layout at a chosen
 /// storage precision. Immutable after construction and safe to share across
@@ -69,7 +57,6 @@ float bf16_to_fp32(uint16_t v);
 ///    dequantization scale and an integer row sum sum_k q(i,k) (both
 ///    length m); the row sums cancel the +128 activation shift exactly in
 ///    the write-back.
-///  - kBf16: the fp32 layout with uint16 elements.
 class PackedWeight {
  public:
   /// Packs op(A) per @p layout from row-major storage (see GemmLayout);
@@ -107,16 +94,10 @@ class PackedWeight {
   /// unsigned shift from the raw accumulators.
   const int32_t* row_sums() const { return rowsum_.data(); }
 
-  /// bf16-mode panel, same indexing as PackedA::panel.
-  const uint16_t* bf16_panel(int64_t mtile, int64_t k0) const {
-    return bf16_.data() + mtile * k_ * kGemmMR + k0 * kGemmMR;
-  }
-
  private:
   Precision precision_;
   int64_t m_, k_;
   std::vector<float> f32_;      // kFp32 panels
-  std::vector<uint16_t> bf16_;  // kBf16 panels
   std::vector<int8_t> i8_;      // kInt8 panels (signed k-quads)
   std::vector<int32_t> rowsum_;  // kInt8 per-row quantized sums
   std::vector<float> scales_;   // kInt8 per-row scales
@@ -141,12 +122,6 @@ void gemm_col_block_i8(const PackedWeight& a, const BPanelPacker& bp,
                        float inv_b_scale, const float* combined_scales,
                        int64_t n, int64_t block, float* c, const float* bias,
                        const GemmEpilogue& ep = {});
-
-/// One column block of C = A(bf16) · bf16(B) with fp32 accumulation in
-/// strictly increasing k order (the fp32 engine's blocking, bf16 storage).
-void gemm_col_block_bf16(const PackedWeight& a, const BPanelPacker& bp,
-                         int64_t n, int64_t block, float* c,
-                         const GemmEpilogue& ep = {});
 
 /// Largest |v| over n floats (exact: max is order-independent, so callers
 /// may parallelize it without touching the determinism contract).

@@ -79,7 +79,7 @@ TEST(ModelRegistry, ParsesFieldsDefaultsAndComments) {
       "\n"
       "alpha alpha.bin\n"
       "beta beta.bin int8\n"
-      "gamma gamma.bin bf16 3   # trailing comment\n");
+      "gamma gamma.bin int8 3   # trailing comment\n");
   ASSERT_EQ(specs.size(), 3u);
   EXPECT_EQ(specs[0].name, "alpha");
   EXPECT_EQ(specs[0].checkpoint, "alpha.bin");
@@ -88,7 +88,7 @@ TEST(ModelRegistry, ParsesFieldsDefaultsAndComments) {
   EXPECT_EQ(specs[1].precision, Precision::kInt8);
   EXPECT_EQ(specs[1].replicas, 1);
   EXPECT_EQ(specs[2].name, "gamma");
-  EXPECT_EQ(specs[2].precision, Precision::kBf16);
+  EXPECT_EQ(specs[2].precision, Precision::kInt8);
   EXPECT_EQ(specs[2].replicas, 3);
 }
 
@@ -100,8 +100,10 @@ TEST(ModelRegistry, RejectsMalformedLines) {
   EXPECT_THROW(
       runtime::parse_model_registry_text("a a.bin\nb b.bin\na again.bin\n"),
       std::invalid_argument);
-  // Bad precision word.
+  // Bad precision words, including the retired bf16.
   EXPECT_THROW(runtime::parse_model_registry_text("a a.bin fp64\n"),
+               std::invalid_argument);
+  EXPECT_THROW(runtime::parse_model_registry_text("a a.bin bf16\n"),
                std::invalid_argument);
   // Bad replica counts: zero, negative, non-numeric, trailing junk digits.
   EXPECT_THROW(runtime::parse_model_registry_text("a a.bin fp32 0\n"),

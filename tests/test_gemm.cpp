@@ -194,18 +194,24 @@ TEST(Gemm, LegacyEntryPointsStillAgree) {
   EXPECT_LE(test::max_abs_diff(ref, c2), tol_for(k));
 }
 
-// The runtime dispatcher picks the AVX2 kernel table on AVX2 hosts, which
-// would otherwise leave the portable baseline table untested on every CI
-// runner. Feed both tables identical hand-packed panels and require exact
-// agreement with each other and a k-ordered reference — this is also the
-// direct statement of the "AVX2 without FMA rounds like scalar" claim the
-// dispatcher's bitwise contract rests on.
+// The runtime dispatcher serves only the widest runnable tier, which would
+// otherwise leave the narrower tables untested on every wide-ISA runner.
+// Feed every tier the host can run identical hand-packed panels and require
+// exact agreement with the baseline tier and a k-ordered reference — this
+// is also the direct statement of the "AVX2 without FMA rounds like scalar"
+// claim the dispatcher's bitwise contract rests on.
 TEST(Gemm, BaselineAndDispatchedKernelTablesAgreeBitwise) {
   auto g = test::rng(67);
   const int64_t klen = 37;
   Tensor a = Tensor::randn({klen, kGemmMR}, g);   // packed A panel, k-major
   Tensor b = Tensor::randn({klen, kGemmNR}, g);   // packed B micro-panel
   Tensor bias = Tensor::randn({kGemmMR}, g);
+  // Strided B source for the paired kernels: two adjacent micro-panels per
+  // row, plus slack so the row stride is not the panel width.
+  const int64_t bstride = 3 * kGemmNR;
+  Tensor bsrc = Tensor::randn({klen, bstride}, g);
+  const float* b0 = bsrc.data();
+  const float* b1 = bsrc.data() + kGemmNR;
 
   Tensor ref({kGemmMR, kGemmNR});
   for (int64_t r = 0; r < kGemmMR; ++r) {
@@ -218,42 +224,97 @@ TEST(Gemm, BaselineAndDispatchedKernelTablesAgreeBitwise) {
     }
   }
 
-  // In the portable build neither table may fuse multiply-adds, so they
-  // must agree exactly. Under -march=native (DOINN_NATIVE_ARCH) the
-  // baseline TU's generic body may legally FMA-contract while the
-  // intrinsic table never does, so allow rounding-scale slack there.
+  // In the portable build no table may fuse multiply-adds, so they must
+  // agree exactly. Under -march=native (DOINN_NATIVE_ARCH) the baseline
+  // TU's generic body may legally FMA-contract while the intrinsic tables
+  // never do, so allow rounding-scale slack there.
 #if defined(__FMA__)
   const float ktol = tol_for(klen);
 #else
   const float ktol = 0.f;
 #endif
-  const detail::MicroKernelTable& base = detail::baseline_kernels();
-  const detail::MicroKernelTable& disp = detail::micro_kernels();
-  Tensor c_base({kGemmMR, kGemmNR}), c_disp({kGemmMR, kGemmNR});
+  const std::vector<const detail::KernelTable*> tiers =
+      detail::runnable_tiers();
+  ASSERT_FALSE(tiers.empty());
+  EXPECT_EQ(&detail::kernels(), tiers.front());
+  const detail::KernelTable& base = *tiers.back();
+  EXPECT_STREQ(base.name, "baseline");
+  EXPECT_STREQ(gemm_kernel_tier(), detail::kernels().name);
+
+  Tensor c_base({kGemmMR, kGemmNR});
   base.add(klen, a.data(), b.data(), kGemmNR, c_base.data(), kGemmNR,
            /*init=*/true, bias.data());
-  disp.add(klen, a.data(), b.data(), kGemmNR, c_disp.data(), kGemmNR,
-           /*init=*/true, bias.data());
-  EXPECT_LE(test::max_abs_diff(c_base, c_disp), ktol);
   EXPECT_LE(test::max_abs_diff(c_base, ref), tol_for(klen));
-
-  // Edge variant: a ragged 3 x 5 sub-tile must agree the same way.
   Tensor e_base = Tensor::full({kGemmMR, kGemmNR}, -1.f);
-  Tensor e_disp = Tensor::full({kGemmMR, kGemmNR}, -1.f);
   base.add_edge(klen, a.data(), b.data(), kGemmNR, e_base.data(), kGemmNR, 3,
                 5, /*init=*/true, nullptr);
-  disp.add_edge(klen, a.data(), b.data(), kGemmNR, e_disp.data(), kGemmNR, 3,
-                5, /*init=*/true, nullptr);
-  EXPECT_LE(test::max_abs_diff(e_base, e_disp), ktol);
-
-  // Subtract variant.
   Tensor s_base = Tensor::ones({kGemmMR, kGemmNR});
-  Tensor s_disp = Tensor::ones({kGemmMR, kGemmNR});
   base.sub(klen, a.data(), b.data(), kGemmNR, s_base.data(), kGemmNR,
            /*init=*/false, nullptr);
-  disp.sub(klen, a.data(), b.data(), kGemmNR, s_disp.data(), kGemmNR,
-           /*init=*/false, nullptr);
-  EXPECT_LE(test::max_abs_diff(s_base, s_disp), ktol);
+
+  // Two baseline single-tile calls over the strided panels: the reference
+  // for every paired entry (C is MR x 2*NR, row stride 2*NR).
+  const int64_t ldc = 2 * kGemmNR;
+  auto two_singles = [&](detail::KernelTable::Fn fn, float start, bool init,
+                         const float* bias_p) {
+    Tensor c = Tensor::full({kGemmMR, ldc}, start);
+    fn(klen, a.data(), b0, bstride, c.data(), ldc, init, bias_p);
+    fn(klen, a.data(), b1, bstride, c.data() + kGemmNR, ldc, init, bias_p);
+    return c;
+  };
+  const Tensor pair_add_ref = two_singles(base.add, 0.f, true, bias.data());
+  const Tensor pair_sub_ref = two_singles(base.sub, 2.f, false, nullptr);
+
+  for (const detail::KernelTable* tier : tiers) {
+    SCOPED_TRACE(tier->name);
+    const detail::KernelTable& t = *tier;
+    Tensor c({kGemmMR, kGemmNR});
+    t.add(klen, a.data(), b.data(), kGemmNR, c.data(), kGemmNR,
+          /*init=*/true, bias.data());
+    EXPECT_LE(test::max_abs_diff(c_base, c), ktol);
+
+    // Edge variant: a ragged 3 x 5 sub-tile must agree the same way.
+    Tensor e = Tensor::full({kGemmMR, kGemmNR}, -1.f);
+    t.add_edge(klen, a.data(), b.data(), kGemmNR, e.data(), kGemmNR, 3, 5,
+               /*init=*/true, nullptr);
+    EXPECT_LE(test::max_abs_diff(e_base, e), ktol);
+
+    // Subtract variant.
+    Tensor sv = Tensor::ones({kGemmMR, kGemmNR});
+    t.sub(klen, a.data(), b.data(), kGemmNR, sv.data(), kGemmNR,
+          /*init=*/false, nullptr);
+    EXPECT_LE(test::max_abs_diff(s_base, sv), ktol);
+
+    // Paired entries (wide tiers only) == two baseline single-tile calls.
+    if (t.add_pair != nullptr) {
+      Tensor p({kGemmMR, ldc});
+      t.add_pair(klen, a.data(), b0, b1, bstride, p.data(), ldc,
+                 /*init=*/true, bias.data());
+      EXPECT_LE(test::max_abs_diff(pair_add_ref, p), ktol);
+    }
+    if (t.sub_pair != nullptr) {
+      Tensor p = Tensor::full({kGemmMR, ldc}, 2.f);
+      t.sub_pair(klen, a.data(), b0, b1, bstride, p.data(), ldc,
+                 /*init=*/false, nullptr);
+      EXPECT_LE(test::max_abs_diff(pair_sub_ref, p), ktol);
+    }
+    if (t.add_pair_pack != nullptr) {
+      Tensor p({kGemmMR, ldc});
+      Tensor pack0 = Tensor::full({klen, kGemmNR}, -7.f);
+      Tensor pack1 = Tensor::full({klen, kGemmNR}, -7.f);
+      t.add_pair_pack(klen, a.data(), b0, b1, bstride, pack0.data(),
+                      pack1.data(), p.data(), ldc, /*init=*/true,
+                      bias.data());
+      EXPECT_LE(test::max_abs_diff(pair_add_ref, p), ktol);
+      // The packed panels it writes on the way past are the source rows.
+      for (int64_t kk = 0; kk < klen; ++kk) {
+        for (int64_t j = 0; j < kGemmNR; ++j) {
+          ASSERT_EQ(pack0[kk * kGemmNR + j], b0[kk * bstride + j]) << kk;
+          ASSERT_EQ(pack1[kk * kGemmNR + j], b1[kk * bstride + j]) << kk;
+        }
+      }
+    }
+  }
 }
 
 // -- Convolution through the implicit-im2col path -----------------------------

@@ -76,8 +76,7 @@ TEST(GraphExec, BitwiseParityAcrossPrecisionsThreadsAndBatches) {
   const core::DoinnConfig cfg = tiny_config();
   const std::vector<Tensor> masks = {random_mask(64, 1), random_mask(64, 2),
                                      random_mask(64, 3)};
-  for (Precision prec :
-       {Precision::kFp32, Precision::kInt8, Precision::kBf16}) {
+  for (Precision prec : {Precision::kFp32, Precision::kInt8}) {
     runtime::InferenceEngine walk(cfg, 7, engine_opts(prec, 1, false));
     runtime::InferenceEngine serial(cfg, 7, engine_opts(prec, 1, true));
     runtime::InferenceEngine wide(cfg, 7, engine_opts(prec, 4, true));

@@ -1,8 +1,8 @@
-// Tests for load-time weight prepacking and the reduced-precision inference
-// path (tensor/prepack.h): fp32 prepacked panels must be bitwise identical
-// to the per-call packing path, every precision mode must keep the engine's
-// cross-thread-count bitwise-determinism contract, the int8/bf16 micro
-// kernels must agree across dispatch tables (baseline vs AVX2), and int8
+// Tests for load-time weight prepacking and the int8 inference path
+// (tensor/prepack.h): fp32 prepacked panels must be bitwise identical
+// to the per-call packing path, both precision modes must keep the engine's
+// cross-thread-count bitwise-determinism contract, the int8 micro kernels
+// of every runnable tier must agree with the baseline tier, and int8
 // inference on a trained checkpoint must stay within a contour-accuracy
 // bound of fp32.
 #include <gtest/gtest.h>
@@ -40,33 +40,15 @@ Tensor random_mask(int64_t side, uint32_t seed) {
   return mask;
 }
 
-// -- Precision flag and bf16 conversion ---------------------------------------
+// -- Precision flag -----------------------------------------------------------
 
 TEST(Precision, FlagRoundTripsAndRejectsUnknown) {
   EXPECT_EQ(parse_precision("fp32"), Precision::kFp32);
   EXPECT_EQ(parse_precision("int8"), Precision::kInt8);
-  EXPECT_EQ(parse_precision("bf16"), Precision::kBf16);
   EXPECT_STREQ(precision_name(Precision::kFp32), "fp32");
   EXPECT_STREQ(precision_name(Precision::kInt8), "int8");
-  EXPECT_STREQ(precision_name(Precision::kBf16), "bf16");
   EXPECT_THROW(parse_precision("fp16"), std::invalid_argument);
-}
-
-TEST(Precision, Bf16ConversionRoundsToNearestEven) {
-  // Exactly representable values survive a round trip.
-  // (0x1.fep127 is the bf16 max normal — 8 mantissa bits, all ones.)
-  for (float v : {0.f, -0.f, 1.f, -2.5f, 0.15625f, 0x1.fep127f}) {
-    EXPECT_EQ(bf16_to_fp32(fp32_to_bf16(v)), v) << v;
-  }
-  // 1 + 2^-8 sits exactly between bf16 neighbours 1.0 and 1 + 2^-7: RNE
-  // picks the even mantissa (1.0). Anything above the midpoint rounds up.
-  EXPECT_EQ(bf16_to_fp32(fp32_to_bf16(1.f + 0x1.0p-8f)), 1.f);
-  EXPECT_EQ(bf16_to_fp32(fp32_to_bf16(1.f + 0x1.1p-8f)), 1.f + 0x1.0p-7f);
-  // The next representable (1 + 2^-7) + midpoint rounds to even = up.
-  EXPECT_EQ(bf16_to_fp32(fp32_to_bf16(1.f + 0x1.8p-7f)), 1.f + 0x1.0p-6f);
-  // Infinity is preserved; NaN stays NaN (quietened, not flushed to inf).
-  EXPECT_EQ(bf16_to_fp32(fp32_to_bf16(INFINITY)), INFINITY);
-  EXPECT_TRUE(std::isnan(bf16_to_fp32(fp32_to_bf16(NAN))));
+  EXPECT_THROW(parse_precision("bf16"), std::invalid_argument);
 }
 
 // -- PackedWeight layouts -----------------------------------------------------
@@ -120,7 +102,7 @@ TEST(PackedWeight, Int8RowScalesAndPanelsMatchReference) {
   }
 }
 
-// -- Kernel dispatch parity (baseline vs AVX2 tables) -------------------------
+// -- Kernel dispatch parity (every runnable tier vs baseline) ---------------
 
 TEST(QuantKernels, DispatchedI8KernelsBitwiseMatchBaseline) {
   auto rng = test::rng(11);
@@ -130,14 +112,13 @@ TEST(QuantKernels, DispatchedI8KernelsBitwiseMatchBaseline) {
   Tensor bf = Tensor::randn({klen, kGemmNR}, rng);
   PackedWeight pw(GemmLayout::kNN, af.data(), kGemmMR, klen, Precision::kInt8);
 
-  const detail::QuantKernelTable& base = detail::baseline_quant_kernels();
-  const detail::QuantKernelTable& disp = detail::quant_kernels();
+  const std::vector<const detail::KernelTable*> tiers =
+      detail::runnable_tiers();
+  const detail::KernelTable& base = *tiers.back();
 
   const float inv_b = 127.f / max_abs(bf.data(), bf.numel());
-  std::vector<uint8_t> qb_base(kquads * 32, 0), qb_disp(kquads * 32, 0);
+  std::vector<uint8_t> qb_base(kquads * 32, 0);
   base.i8_quant(bf.data(), klen, inv_b, qb_base.data());
-  disp.i8_quant(bf.data(), klen, inv_b, qb_disp.data());
-  EXPECT_EQ(std::memcmp(qb_base.data(), qb_disp.data(), qb_base.size()), 0);
   // Padded k slots hold the zero-point, never raw zero.
   EXPECT_EQ(qb_base[(klen / 4) * 32 + 0 * 4 + klen % 4], 128);
 
@@ -147,64 +128,41 @@ TEST(QuantKernels, DispatchedI8KernelsBitwiseMatchBaseline) {
   for (size_t i = 0; i < acc_seed.size(); ++i) {
     acc_seed[i] = static_cast<int32_t>(i) * 11 - 40;
   }
-  std::vector<int32_t> acc_base = acc_seed, acc_disp = acc_seed;
+  std::vector<int32_t> acc_base = acc_seed;
   base.i8(kquads, pw.i8_panel(0), qb_base.data(), acc_base.data(), kGemmNR);
-  disp.i8(kquads, pw.i8_panel(0), qb_base.data(), acc_disp.data(), kGemmNR);
-  EXPECT_EQ(std::memcmp(acc_base.data(), acc_disp.data(),
-                        sizeof(int32_t) * acc_base.size()),
-            0);
   EXPECT_NE(std::memcmp(acc_base.data(), acc_seed.data(),
                         sizeof(int32_t) * acc_base.size()),
             0);  // the kernel actually accumulated something
 
-  // Paired kernel == two single-tile calls, bit for bit (second B panel
+  // Paired-kernel reference: two baseline single-tile calls (second B panel
   // packed back to back at bp + kquads*32; here both tiles reuse qb_base).
   std::vector<uint8_t> qb2(2 * kquads * 32);
   std::copy(qb_base.begin(), qb_base.end(), qb2.begin());
   std::copy(qb_base.begin(), qb_base.end(), qb2.begin() + kquads * 32);
-  std::vector<int32_t> acc_pair(kGemmMR * 2 * kGemmNR, 5);
-  std::vector<int32_t> acc_two = acc_pair;
-  disp.i8x2(kquads, pw.i8_panel(0), qb2.data(), acc_pair.data());
+  std::vector<int32_t> acc_two(kGemmMR * 2 * kGemmNR, 5);
   base.i8(kquads, pw.i8_panel(0), qb2.data(), acc_two.data(), 2 * kGemmNR);
   base.i8(kquads, pw.i8_panel(0), qb2.data() + kquads * 32,
           acc_two.data() + kGemmNR, 2 * kGemmNR);
-  EXPECT_EQ(std::memcmp(acc_pair.data(), acc_two.data(),
-                        sizeof(int32_t) * acc_pair.size()),
-            0);
-}
 
-TEST(QuantKernels, DispatchedBf16KernelsBitwiseMatchBaseline) {
-  auto rng = test::rng(13);
-  const int64_t klen = 19;
-  Tensor af = Tensor::randn({kGemmMR, klen}, rng);
-  Tensor bf = Tensor::randn({klen, kGemmNR}, rng);
-  PackedWeight pw(GemmLayout::kNN, af.data(), kGemmMR, klen, Precision::kBf16);
-  std::vector<uint16_t> bpan(klen * kGemmNR);
-  for (int64_t i = 0; i < klen * kGemmNR; ++i) {
-    bpan[i] = fp32_to_bf16(bf.data()[i]);
+  for (const detail::KernelTable* tier : tiers) {
+    SCOPED_TRACE(tier->name);
+    std::vector<uint8_t> qb(kquads * 32, 0);
+    tier->i8_quant(bf.data(), klen, inv_b, qb.data());
+    EXPECT_EQ(std::memcmp(qb_base.data(), qb.data(), qb_base.size()), 0);
+
+    std::vector<int32_t> acc = acc_seed;
+    tier->i8(kquads, pw.i8_panel(0), qb_base.data(), acc.data(), kGemmNR);
+    EXPECT_EQ(std::memcmp(acc_base.data(), acc.data(),
+                          sizeof(int32_t) * acc_base.size()),
+              0);
+
+    // Paired kernel == two single-tile calls, bit for bit.
+    std::vector<int32_t> acc_pair(kGemmMR * 2 * kGemmNR, 5);
+    tier->i8x2(kquads, pw.i8_panel(0), qb2.data(), acc_pair.data());
+    EXPECT_EQ(std::memcmp(acc_pair.data(), acc_two.data(),
+                          sizeof(int32_t) * acc_pair.size()),
+              0);
   }
-
-  const detail::QuantKernelTable& base = detail::baseline_quant_kernels();
-  const detail::QuantKernelTable& disp = detail::quant_kernels();
-  std::vector<float> bias = {0.25f, -1.f, 0.5f, 0.f};
-  std::vector<float> c_base(kGemmMR * kGemmNR, 0.f), c_disp = c_base;
-  base.bf16(klen, pw.bf16_panel(0, 0), bpan.data(), c_base.data(), kGemmNR,
-            /*init=*/true, bias.data());
-  disp.bf16(klen, pw.bf16_panel(0, 0), bpan.data(), c_disp.data(), kGemmNR,
-            /*init=*/true, bias.data());
-  EXPECT_EQ(std::memcmp(c_base.data(), c_disp.data(),
-                        sizeof(float) * c_base.size()),
-            0);
-
-  std::fill(c_base.begin(), c_base.end(), 2.f);  // parked partials, init=false
-  std::fill(c_disp.begin(), c_disp.end(), 2.f);
-  base.bf16_edge(klen, pw.bf16_panel(0, 0), bpan.data(), c_base.data(),
-                 kGemmNR, /*mr=*/3, /*nr=*/6, /*init=*/false, nullptr);
-  disp.bf16_edge(klen, pw.bf16_panel(0, 0), bpan.data(), c_disp.data(),
-                 kGemmNR, /*mr=*/3, /*nr=*/6, /*init=*/false, nullptr);
-  EXPECT_EQ(std::memcmp(c_base.data(), c_disp.data(),
-                        sizeof(float) * c_base.size()),
-            0);
 }
 
 // -- Column-block GEMM entry points -------------------------------------------
@@ -285,36 +243,6 @@ TEST(QuantGemm, Int8TracksFp32WithinQuantizationError) {
   EXPECT_LT(test::max_abs_diff(c, ref), 0.02f * mag);
 }
 
-TEST(QuantGemm, Bf16ColBlockMatchesWidenedFp32Bitwise) {
-  auto rng = test::rng(23);
-  const int64_t m = 11, k = 600, n = 13;  // ragged tiles, two K chunks
-  Tensor a = Tensor::randn({m, k}, rng);
-  Tensor b = Tensor::randn({k, n}, rng);
-  Tensor bias = Tensor::randn({m}, rng);
-  PackedWeight pw(GemmLayout::kNN, a.data(), m, k, Precision::kBf16);
-  StridedBPacker bp(b.data(), n, false);
-  GemmEpilogue ep;
-  ep.bias = bias.data();
-  Tensor c({m, n});
-  gemm_col_block_bf16(pw, bp, n, 0, c.data(), ep);
-
-  // The bf16 kernels reuse the fp32 engine's blocking and accumulation
-  // order, so the result must be bitwise identical to the fp32 path run on
-  // operands pre-rounded to bf16 storage.
-  Tensor aw({m, k}), bw({k, n});
-  for (int64_t i = 0; i < a.numel(); ++i) {
-    aw.data()[i] = bf16_to_fp32(fp32_to_bf16(a[i]));
-  }
-  for (int64_t i = 0; i < b.numel(); ++i) {
-    bw.data()[i] = bf16_to_fp32(fp32_to_bf16(b[i]));
-  }
-  Tensor ref({m, n});
-  PackedA pa(GemmLayout::kNN, aw.data(), m, k);
-  StridedBPacker bpw(bw.data(), n, false);
-  gemm_col_block(pa, bpw, n, 0, ref.data(), ep);
-  EXPECT_EQ(test::max_abs_diff(c, ref), 0.f);
-}
-
 // -- Engine-level parity and determinism --------------------------------------
 
 TEST(Prepack, Fp32ForwardBitwiseMatchesPerCallPath) {
@@ -333,8 +261,7 @@ TEST(Prepack, EveryPrecisionBitwiseEqualAcrossThreadCountsAndBatchSplit) {
   core::DoinnConfig cfg = tiny_config();
   std::vector<Tensor> masks;
   for (uint32_t s = 40; s < 43; ++s) masks.push_back(random_mask(cfg.tile, s));
-  for (Precision p :
-       {Precision::kFp32, Precision::kInt8, Precision::kBf16}) {
+  for (Precision p : {Precision::kFp32, Precision::kInt8}) {
     runtime::EngineOptions serial_opts;
     serial_opts.num_threads = 1;
     serial_opts.precision = p;
@@ -357,7 +284,7 @@ TEST(Prepack, EveryPrecisionBitwiseEqualAcrossThreadCountsAndBatchSplit) {
   }
 }
 
-// -- Contour accuracy of reduced precision on a trained checkpoint ------------
+// -- Contour accuracy of int8 on a trained checkpoint -------------------------
 
 TEST(Prepack, ReducedPrecisionContourAccuracyOnTrainedCheckpoint) {
   core::DoinnConfig cfg = tiny_config();
@@ -380,28 +307,23 @@ TEST(Prepack, ReducedPrecisionContourAccuracyOnTrainedCheckpoint) {
 
   const std::string path = "test_precision_ckpt.bin";
   core::save_doinn(path, model);
-  runtime::EngineOptions fp32_opts, int8_opts, bf16_opts;
+  runtime::EngineOptions fp32_opts, int8_opts;
   fp32_opts.num_threads = 2;
-  int8_opts = bf16_opts = fp32_opts;
+  int8_opts = fp32_opts;
   int8_opts.precision = Precision::kInt8;
-  bf16_opts.precision = Precision::kBf16;
   runtime::InferenceEngine fp32(path, fp32_opts);
   runtime::InferenceEngine int8(path, int8_opts);
-  runtime::InferenceEngine bf16(path, bf16_opts);
   std::remove(path.c_str());
 
-  std::vector<core::SegmentationMetrics> int8_m, bf16_m;
+  std::vector<core::SegmentationMetrics> int8_m;
   for (const Tensor& mask : data.masks) {
     const Tensor ref = fp32.predict(mask);
     ASSERT_GT(ref.sum(), 0.f);  // trained model prints something
     int8_m.push_back(core::evaluate_contours(int8.predict(mask), ref));
-    bf16_m.push_back(core::evaluate_contours(bf16.predict(mask), ref));
   }
-  // Reduced precision may only move contour pixels near the print
-  // threshold: the binarized outputs must stay nearly coincident with the
-  // fp32 engine's.
+  // Int8 may only move contour pixels near the print threshold: the
+  // binarized outputs must stay nearly coincident with the fp32 engine's.
   EXPECT_GT(core::average(int8_m).miou, 0.85);
-  EXPECT_GT(core::average(bf16_m).miou, 0.95);
 }
 
 }  // namespace
