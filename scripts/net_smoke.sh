@@ -8,7 +8,10 @@
 #   - the server comes up, serves the load, and drains cleanly on a
 #     SHUTDOWN frame (nonzero server exit fails the script);
 #   - every socket contour is byte-identical to the local predict output
-#     for the same mask (the transport-independence contract);
+#     for the same mask (the transport-independence contract), including
+#     large windows sent A, A, A, B, A: the LP+IR capture, its validating
+#     replay, a trusted replay, a new shape replacing the compiled large
+#     plan, and a capture of the first shape again;
 #   - the Chrome trace written on shutdown validates and contains the
 #     full serving-path span taxonomy (serve.ingest, sched.queue_wait,
 #     sched.dispatch, serve.wait, serve.write);
@@ -135,6 +138,16 @@ for i in 1 2 3 4; do
   "$BUILD/doinn_cli" predict --weights "$WORK/weights_b.bin" \
     --mask "$WORK/mask$i.pgm" --out "$WORK/ref_b$i.pgm"
 done
+# Large windows (2x2 and 4x4 half-overlap clip grids on the 64-px model).
+"$BUILD/doinn_cli" generate --kind via --tile 128 --seed 5 \
+  --out "$WORK/largeA.pgm"
+"$BUILD/doinn_cli" generate --kind via --tile 192 --seed 6 \
+  --out "$WORK/largeB.pgm"
+for w in A B; do
+  "$BUILD/doinn_cli" predict --weights "$WORK/weights.bin" \
+    --mask "$WORK/large$w.pgm" --out "$WORK/ref_large$w.pgm"
+done
+LARGE_SEQ="A A A B A"
 
 echo "== starting doinn_serve --listen =="
 start_server "$WORK/server.log" --weights "$WORK/weights.bin" --listen 0 \
@@ -148,6 +161,15 @@ done > "$WORK/sock_manifest.txt"
 "$BUILD/doinn_client" --connect "127.0.0.1:$PORT" \
   --manifest "$WORK/sock_manifest.txt" --concurrency 2 --repeat 2
 
+# One large window in flight at a time, so the server sees them in order.
+i=0
+for w in $LARGE_SEQ; do
+  i=$((i + 1))
+  echo "$WORK/large$w.pgm $WORK/sock_large$i.pgm"
+done > "$WORK/large_manifest.txt"
+"$BUILD/doinn_client" --connect "127.0.0.1:$PORT" \
+  --manifest "$WORK/large_manifest.txt" --concurrency 1
+
 echo "== draining via a SHUTDOWN frame =="
 "$BUILD/doinn_client" --connect "127.0.0.1:$PORT" --shutdown
 wait "$SERVER_PID"
@@ -157,6 +179,12 @@ cat "$WORK/server.log"
 echo "== checking socket vs local predict byte identity =="
 for i in 1 2 3 4; do
   expect_same "$WORK/ref$i.pgm" "$WORK/sock$i.pgm" "socket contour $i"
+done
+i=0
+for w in $LARGE_SEQ; do
+  i=$((i + 1))
+  expect_same "$WORK/ref_large$w.pgm" "$WORK/sock_large$i.pgm" \
+    "large window $i ($w)"
 done
 echo "all contours byte-identical"
 

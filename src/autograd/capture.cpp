@@ -18,55 +18,45 @@ GraphRecorder::~GraphRecorder() { tls_recorder = prev_; }
 
 GraphRecorder* GraphRecorder::current() { return tls_recorder; }
 
-int GraphRecorder::slot_for_read(const Variable& v) {
-  const detail::VarState* key = v.state().get();
-  auto it = slot_of_.find(key);
-  if (it != slot_of_.end()) return it->second;
-  // Not produced by a recorded node and not a registered input: freeze the
-  // current value as a constant. The slot shares the tensor's storage (and
-  // the keepalive pins the VarState) so the bytes stay valid and the state
-  // address can never be recycled onto a different slot.
+int GraphRecorder::new_slot(const Variable& v) {
   const int id = static_cast<int>(graph_->slots.size());
   CaptureSlot slot;
   slot.shape = v.value().shape();
   slot.numel = v.value().numel();
-  slot.constant = v.value();
   graph_->slots.push_back(std::move(slot));
-  slot_of_.emplace(key, id);
-  keepalive_.push_back(v.state());
+  slot_of_.emplace(v.state()->serial, id);
+  return id;
+}
+
+int GraphRecorder::slot_for_read(const Variable& v) {
+  auto it = slot_of_.find(v.state()->serial);
+  if (it != slot_of_.end()) return it->second;
+  // Not produced by a recorded node and not a registered input: freeze the
+  // current value as a constant. The slot shares the tensor's storage, so
+  // the bytes stay valid for the graph's lifetime.
+  const int id = new_slot(v);
+  CaptureSlot& slot = graph_->slots[static_cast<size_t>(id)];
+  slot.constant = v.value();
+  slot.parameter = v.requires_grad();
   return id;
 }
 
 int GraphRecorder::slot_for_write(const Variable& v, int node) {
-  const detail::VarState* key = v.state().get();
-  if (slot_of_.count(key) != 0) {
+  if (slot_of_.count(v.state()->serial) != 0) {
     throw std::logic_error(
         "GraphRecorder: an op wrote a Variable already mapped to a slot");
   }
-  const int id = static_cast<int>(graph_->slots.size());
-  CaptureSlot slot;
-  slot.shape = v.value().shape();
-  slot.numel = v.value().numel();
-  slot.producer = node;
-  graph_->slots.push_back(std::move(slot));
-  slot_of_.emplace(key, id);
-  keepalive_.push_back(v.state());
+  const int id = new_slot(v);
+  graph_->slots[static_cast<size_t>(id)].producer = node;
   return id;
 }
 
 void GraphRecorder::add_input(const Variable& v) {
-  const detail::VarState* key = v.state().get();
-  if (slot_of_.count(key) != 0) {
+  if (slot_of_.count(v.state()->serial) != 0) {
     throw std::logic_error("GraphRecorder: duplicate input registration");
   }
-  const int id = static_cast<int>(graph_->slots.size());
-  CaptureSlot slot;
-  slot.shape = v.value().shape();
-  slot.numel = v.value().numel();
-  slot.is_input = true;
-  graph_->slots.push_back(std::move(slot));
-  slot_of_.emplace(key, id);
-  keepalive_.push_back(v.state());
+  const int id = new_slot(v);
+  graph_->slots[static_cast<size_t>(id)].is_input = true;
   graph_->inputs.push_back(id);
 }
 

@@ -14,9 +14,13 @@
 // Slot semantics: a slot is one dense float buffer. Variables produced by
 // recorded nodes (or registered via add_input) map to planned slots; any
 // other Variable an op consumes is frozen as a constant slot that keeps the
-// underlying tensor storage alive — weights, biases and eval-mode BN
-// statistics land here, which is correct because the engine captures only
-// eval-mode forwards whose parameters are immutable for the plan lifetime.
+// underlying tensor storage alive. Weights and biases land here (eval-mode
+// BN statistics ride in their node's closure instead), which is correct
+// because the engine captures only eval-mode forwards whose parameters are
+// immutable for the plan lifetime. A frozen constant that is *not* a
+// requires_grad() parameter is the output of an op the recorder does not
+// know, computed from the capture input; the executor's
+// froze_only_parameters() check rejects such graphs.
 #pragma once
 
 #include <functional>
@@ -101,7 +105,8 @@ struct CaptureSlot {
   int64_t numel = 0;
   int producer = -1;  // producing node index; -1 for inputs and constants
   bool is_input = false;
-  Tensor constant;  // numel() > 0 => frozen constant backing buffer
+  Tensor constant;         // numel() > 0 => frozen constant backing buffer
+  bool parameter = false;  // frozen from a requires_grad() Variable
 };
 
 /// The recorded forward: nodes in execution order over a slot table.
@@ -114,8 +119,10 @@ struct CapturedGraph {
 
 /// Thread-local graph recorder. Construct to start recording on this
 /// thread, call finish() to detach the graph; the destructor uninstalls.
-/// Recorders hold a shared_ptr to every VarState they key slots by, so
-/// freed-and-reused state addresses can never alias two distinct slots.
+/// Slots are keyed by VarState::serial, which is never reused, so the
+/// recorder pins nothing but the storage of frozen constants: intermediates
+/// die as the recorded op walk goes, and a capture peaks at the memory of
+/// one op walk.
 class GraphRecorder {
  public:
   GraphRecorder();
@@ -145,10 +152,10 @@ class GraphRecorder {
  private:
   int slot_for_read(const Variable& v);
   int slot_for_write(const Variable& v, int node);
+  int new_slot(const Variable& v);
 
   std::shared_ptr<CapturedGraph> graph_;
-  std::unordered_map<const detail::VarState*, int> slot_of_;
-  std::vector<std::shared_ptr<detail::VarState>> keepalive_;
+  std::unordered_map<uint64_t, int> slot_of_;  // VarState::serial -> slot
   GraphRecorder* prev_ = nullptr;
 };
 

@@ -1,5 +1,6 @@
 #include "autograd/variable.h"
 
+#include <atomic>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -8,6 +9,11 @@
 namespace litho::ag {
 
 namespace detail {
+
+uint64_t next_var_serial() {
+  static std::atomic<uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
 
 void VarState::accumulate(const Tensor& g) {
   if (!requires_grad) return;

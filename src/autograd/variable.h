@@ -21,7 +21,13 @@ class Variable;
 
 namespace detail {
 
+/// Next process-wide VarState serial: starts at 1, never reused.
+uint64_t next_var_serial();
+
 struct VarState {
+  /// Identity that outlives the state: graph capture keys slots by it, so a
+  /// freed state's recycled address can never alias a live slot.
+  const uint64_t serial = next_var_serial();
   Tensor value;
   Tensor grad;              // valid iff grad_defined
   bool grad_defined = false;

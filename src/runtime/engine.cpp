@@ -1,6 +1,7 @@
 #include "runtime/engine.h"
 
 #include <cstring>
+#include <initializer_list>
 #include <stdexcept>
 #include <tuple>
 
@@ -24,14 +25,43 @@ Tensor binarize(Tensor t) {
   return t;
 }
 
-// Deterministic probe values for plan validation: the same bits every build,
-// so op-walk-vs-executor comparisons never depend on when a plan is built.
-void fill_probe(Tensor& t) {
-  uint32_t lcg = 0x00d011a5u;
+// Deterministic probe values for plan capture and validation: the same bits
+// every build, so op-walk-vs-executor comparisons never depend on when a
+// plan is built.
+constexpr uint32_t kCaptureProbeSeed = 0x00d011a5u;
+// Plans are validated on a different probe than they were captured on, so a
+// graph that is right only on its capture input cannot pass.
+constexpr uint32_t kValidateProbeSeed = 0x7e57da7au;
+
+void fill_probe(Tensor& t, uint32_t seed) {
+  uint32_t lcg = seed;
   for (int64_t i = 0; i < t.numel(); ++i) {
     lcg = lcg * 1664525u + 1013904223u;
     t.data()[i] = static_cast<float>(lcg >> 8) / 16777216.f;  // [0, 1)
   }
+}
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.numel() == b.numel() &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(float) * static_cast<size_t>(a.numel())) == 0;
+}
+
+// Copies @p inputs into a pooled context of @p exec, replays, and returns a
+// copy of graph output 0 shaped like its slot.
+Tensor replay(GraphExecutor& exec,
+              std::initializer_list<const Tensor*> inputs) {
+  std::unique_ptr<ExecContext> ctx = exec.acquire();
+  int i = 0;
+  for (const Tensor* t : inputs) {
+    std::copy(t->data(), t->data() + t->numel(), ctx->input(i++));
+  }
+  exec.run(*ctx);
+  Tensor out(exec.graph().slots[exec.graph().outputs[0]].shape);
+  std::copy(ctx->output(0), ctx->output(0) + ctx->output_numel(0),
+            out.data());
+  exec.release(std::move(ctx));
+  return out;
 }
 
 }  // namespace
@@ -131,14 +161,7 @@ void InferenceEngine::init_graph_executor(bool owns_model_prepack) {
     if (p.exec == nullptr) {
       return model_->gp_features(ag::Variable(clip.clone(), false)).value();
     }
-    std::unique_ptr<ExecContext> ctx = p.exec->acquire();
-    std::copy(clip.data(), clip.data() + clip.numel(), ctx->input(0));
-    p.exec->run(*ctx);
-    Tensor out(p.exec->graph().slots[p.exec->graph().outputs[0]].shape);
-    std::copy(ctx->output(0), ctx->output(0) + ctx->output_numel(0),
-              out.data());
-    p.exec->release(std::move(ctx));
-    return out;
+    return replay(*p.exec, {&clip});
   });
 }
 
@@ -155,51 +178,52 @@ InferenceEngine::Plan& InferenceEngine::plan_for(PlanKind kind, int64_t n,
       return kind == kGpPlan ? model_->gp_features(v) : model_->forward(v);
     };
     Tensor probe({n, 1, h, w});
-    fill_probe(probe);
+    fill_probe(probe, kCaptureProbeSeed);
+    Tensor check({n, 1, h, w});
+    fill_probe(check, kValidateProbeSeed);
     try {
       ScopedPool scope(pool_.get());
-      ExecutorOptions eo;
-      eo.autotune = opts_.autotune;
-      auto exec =
-          std::make_unique<GraphExecutor>(capture_graph(probe, fwd), eo);
-
-      // Validate the plan bitwise against the op walk before trusting it: a
-      // forward containing an op the recorder doesn't know would have been
-      // frozen as a stale constant, and must fall back to the op walk.
-      Tensor ref;
-      {
-        ag::NoGradGuard no_grad;
-        ref = fwd(ag::Variable(probe.clone(), false)).value();
-      }
-      std::unique_ptr<ExecContext> ctx = exec->acquire();
-      std::copy(probe.data(), probe.data() + probe.numel(), ctx->input(0));
-      exec->run(*ctx);
-      const bool ok =
-          ctx->output_numel(0) == ref.numel() &&
-          std::memcmp(ctx->output(0), ref.data(),
-                      sizeof(float) * static_cast<size_t>(ref.numel())) == 0;
-      exec->release(std::move(ctx));
-      if (ok) {
-        arena_bytes_total_ += exec->arena_bytes();
-        MetricsRegistry::global()
-            .gauge("engine.arena_bytes")
-            .set(arena_bytes_total_);
-        plan->exec = std::move(exec);
+      std::shared_ptr<ag::CapturedGraph> graph = capture_graph(probe, fwd);
+      // A frozen non-parameter constant is an uninstrumented op's output on
+      // the probe: fall back without building.
+      if (froze_only_parameters(*graph)) {
+        ExecutorOptions eo;
+        eo.autotune = opts_.autotune;
+        auto exec = std::make_unique<GraphExecutor>(std::move(graph), eo);
+        // Validate the plan bitwise against the op walk before trusting it.
+        Tensor ref;
+        {
+          ag::NoGradGuard no_grad;
+          ref = fwd(ag::Variable(check.clone(), false)).value();
+        }
+        if (bitwise_equal(replay(*exec, {&check}), ref)) {
+          arena_bytes_total_ += exec->arena_bytes();
+          plan->exec = std::move(exec);
+          set_arena_gauge();
+        }
       }
     } catch (const std::exception&) {
       plan->exec.reset();
     }
-    if (plan->exec == nullptr) {
-      ++plan_fallbacks_;
-      MetricsRegistry::global().counter("engine.plan_fallbacks").add(1);
-    }
+    if (plan->exec == nullptr) count_fallback();
   }
   return *plans_.emplace(key, std::move(plan)).first->second;
 }
 
+void InferenceEngine::count_fallback() {
+  ++plan_fallbacks_;
+  MetricsRegistry::global().counter("engine.plan_fallbacks").add(1);
+}
+
+void InferenceEngine::set_arena_gauge() {
+  MetricsRegistry::global().gauge("engine.arena_bytes").set(
+      arena_bytes_total_ +
+      (large_plan_ != nullptr ? large_plan_->exec->arena_bytes() : 0));
+}
+
 int64_t InferenceEngine::plan_count() const {
   std::lock_guard<std::mutex> lock(plan_mutex_);
-  return static_cast<int64_t>(plans_.size());
+  return static_cast<int64_t>(plans_.size()) + large_captures_;
 }
 
 int64_t InferenceEngine::plan_fallbacks() const {
@@ -287,7 +311,78 @@ Tensor InferenceEngine::predict_large(const Tensor& mask) {
   }
   ag::NoGradGuard no_grad;
   ScopedPool scope(pool_.get());
-  return binarize(large_->predict(mask, pool_.get()));
+  const int64_t h = mask.size(0), w = mask.size(1);
+  const Tensor gp = large_->stitched_gp(mask, pool_.get()).value();
+  Tensor out = large_lp_ir(gp, mask.clone().reshape({1, 1, h, w}));
+  return binarize(out.reshape({h, w}));
+}
+
+Tensor InferenceEngine::large_lp_ir(const Tensor& gp, const Tensor& x) {
+  const int64_t h = x.size(2), w = x.size(3);
+  DOINN_TRACE_SCOPE("large_tile.lp_ir", "large_tile", "h", h, "w", w);
+  auto op_walk = [&] {
+    return model_
+        ->forward_from_gp(ag::Variable(gp, false), ag::Variable(x, false))
+        .value();
+  };
+  if (!opts_.use_graph_executor || h * w > kMaxLargePlanPixels) {
+    return op_walk();
+  }
+
+  std::lock_guard<std::mutex> lock(plan_mutex_);
+  if (large_failed_.count({h, w}) != 0) return op_walk();
+  if (large_plan_ == nullptr || large_plan_->h != h || large_plan_->w != w) {
+    // First request of this shape: the capture is its op walk, so its
+    // output is the reply. The old shape's plan (and arena) goes first.
+    // Inputs are (mask, gp) so the exec.capture span carries the mask's
+    // extent. No autotune: the knobs are bitwise-neutral and their budget
+    // would land on this request.
+    large_plan_.reset();
+    Tensor out;
+    std::shared_ptr<ag::CapturedGraph> graph = capture_graph(
+        {x, gp},
+        [this](const std::vector<ag::Variable>& in) {
+          return model_->forward_from_gp(in[1], in[0]);
+        },
+        &out);
+    ++large_captures_;
+    std::unique_ptr<GraphExecutor> exec;
+    if (froze_only_parameters(*graph)) {
+      try {
+        ExecutorOptions eo;
+        eo.autotune = false;
+        exec = std::make_unique<GraphExecutor>(std::move(graph), eo);
+      } catch (const std::exception&) {
+        // exec stays null: counted as a fallback below.
+      }
+    }
+    if (exec != nullptr) {
+      large_plan_ = std::make_unique<LargePlan>();
+      large_plan_->h = h;
+      large_plan_->w = w;
+      large_plan_->exec = std::move(exec);
+    } else {
+      large_failed_.emplace(h, w);
+      count_fallback();
+    }
+    set_arena_gauge();
+    return out;
+  }
+
+  Tensor got = replay(*large_plan_->exec, {&x, &gp});
+  if (large_plan_->validated) return got;
+  // First replay of this plan: trust it only once it matches the op walk
+  // bit for bit.
+  Tensor ref = op_walk();
+  if (bitwise_equal(got, ref)) {
+    large_plan_->validated = true;
+  } else {
+    large_plan_.reset();
+    large_failed_.emplace(h, w);
+    count_fallback();
+    set_arena_gauge();
+  }
+  return ref;
 }
 
 Tensor InferenceEngine::predict(const Tensor& mask) {

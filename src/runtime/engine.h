@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -32,12 +33,14 @@ struct EngineOptions {
   litho::Precision precision = litho::Precision::kFp32;
   /// Compile forwards into the static graph executor (per-shape capture,
   /// arena-planned buffers, fused GEMM epilogues); every plan is validated
-  /// bitwise against the op walk once at build and the engine falls back to
-  /// the op walk per shape if validation fails. false = always op-walk.
+  /// bitwise against the op walk once — tile and GP plans at build, the
+  /// large-tile LP+IR plan on its first replay — and the engine falls back
+  /// to the op walk per shape if validation fails. false = always op-walk.
   bool use_graph_executor = true;
   /// Benchmark per-shape kernel knobs (GEMM column-block width, packed-B
-  /// feed) when building plans; knobs are bitwise-neutral, so this trades
-  /// load time for steady-state speed only.
+  /// feed) when building tile and GP plans (the large LP+IR plan is built
+  /// on a request and never tuned); knobs are bitwise-neutral, so this
+  /// trades load time for steady-state speed only.
   bool autotune = true;
 };
 
@@ -89,14 +92,19 @@ class InferenceEngine {
   /// half-overlap clip GP passes of the Section 3.2 scheme fan out across
   /// the pool, then the stitched LP + IR pass runs on the full tile.
   /// Bitwise identical to the serial LargeTilePredictor::predict for any
-  /// thread count.
+  /// thread count. With the executor on, the LP + IR pass of the latest
+  /// large shape of at most 1024 x 1024 px is compiled: the first request
+  /// of a shape is the capture, the second replays and checks the replay
+  /// against the op walk, later ones only replay. Larger masks run the op
+  /// walk.
   Tensor predict_large(const Tensor& mask);
 
   /// Dispatches on mask size: plain batched path for masks up to the
   /// training tile, large-tile scheme above it.
   Tensor predict(const Tensor& mask);
 
-  /// Plans built so far (one per distinct forward kind x input shape).
+  /// Plans built so far: one per distinct forward kind x input shape, plus
+  /// one per large-tile LP+IR capture (a replaced large plan stays counted).
   int64_t plan_count() const;
   /// Shapes where executor validation failed and the op walk serves instead.
   int64_t plan_fallbacks() const;
@@ -110,17 +118,41 @@ class InferenceEngine {
   enum PlanKind : int { kForwardPlan = 0, kGpPlan = 1 };
   using PlanKey = std::tuple<int, int64_t, int64_t, int64_t>;
 
+  // The compiled LP+IR pass of the latest large (h, w).
+  struct LargePlan {
+    int64_t h = 0, w = 0;
+    std::unique_ptr<GraphExecutor> exec;
+    bool validated = false;
+  };
+  // Larger masks keep the op walk: a large plan's arena stays resident
+  // until another shape replaces it, about 96 B/px for DoinnConfig::small()
+  // (96 MB at this cap).
+  static constexpr int64_t kMaxLargePlanPixels = int64_t{1024} * 1024;
+
   void init_graph_executor(bool owns_model_prepack);
   Plan& plan_for(PlanKind kind, int64_t n, int64_t h, int64_t w);
+  // Stitched LP + IR pass over @p x ([1,1,H,W]) and its stitched GP
+  // features @p gp: capture, first-replay validation or replay of the large
+  // slot, else the op walk (executor off, mask over kMaxLargePlanPixels, or
+  // a shape whose plan failed).
+  Tensor large_lp_ir(const Tensor& gp, const Tensor& x);
+  void count_fallback();  // caller holds plan_mutex_
+  void set_arena_gauge();  // caller holds plan_mutex_
 
   std::shared_ptr<core::Doinn> model_;
   std::unique_ptr<core::LargeTilePredictor> large_;
   std::unique_ptr<ThreadPool> pool_;
   litho::Precision precision_ = litho::Precision::kFp32;
   EngineOptions opts_;
+  // Guards the plan tables and counters below, held across plan builds and
+  // the whole large LP + IR pass: an engine has one calling thread, and its
+  // clip workers only look up the GP plan built before the fan-out.
   mutable std::mutex plan_mutex_;
   std::map<PlanKey, std::unique_ptr<Plan>> plans_;
-  int64_t arena_bytes_total_ = 0;
+  std::unique_ptr<LargePlan> large_plan_;
+  std::set<std::pair<int64_t, int64_t>> large_failed_;  // never recompiled
+  int64_t large_captures_ = 0;
+  int64_t arena_bytes_total_ = 0;  // tile and GP plans
   int64_t plan_fallbacks_ = 0;
 };
 

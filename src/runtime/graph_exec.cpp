@@ -41,17 +41,45 @@ double best_of(int reps, const std::function<void()>& fn) {
 }  // namespace
 
 std::shared_ptr<ag::CapturedGraph> capture_graph(
-    const Tensor& example_input,
-    const std::function<ag::Variable(const ag::Variable&)>& forward) {
-  DOINN_TRACE_SCOPE("exec.capture", "exec", "input_numel",
-                    example_input.numel());
+    const std::vector<Tensor>& example_inputs,
+    const std::function<ag::Variable(const std::vector<ag::Variable>&)>&
+        forward,
+    Tensor* result) {
+  const Tensor& first = example_inputs.at(0);
+  const int64_t rank = first.dim();
+  DOINN_TRACE_SCOPE("exec.capture", "exec", "inputs",
+                    static_cast<int64_t>(example_inputs.size()), "h",
+                    rank >= 2 ? first.size(rank - 2) : int64_t{1}, "w",
+                    rank >= 1 ? first.size(rank - 1) : int64_t{1});
   ag::NoGradGuard no_grad;
   ag::GraphRecorder rec;
-  ag::Variable in(example_input.clone(), false);
-  rec.add_input(in);
-  ag::Variable out = forward(in);
+  std::vector<ag::Variable> ins;
+  ins.reserve(example_inputs.size());
+  for (const Tensor& t : example_inputs) {
+    ins.emplace_back(t.clone(), false);
+    rec.add_input(ins.back());
+  }
+  ag::Variable out = forward(ins);
   rec.mark_output(out);
+  if (result != nullptr) *result = out.value();
   return rec.finish();
+}
+
+std::shared_ptr<ag::CapturedGraph> capture_graph(
+    const Tensor& example_input,
+    const std::function<ag::Variable(const ag::Variable&)>& forward) {
+  return capture_graph(
+      std::vector<Tensor>{example_input},
+      [&forward](const std::vector<ag::Variable>& in) {
+        return forward(in[0]);
+      });
+}
+
+bool froze_only_parameters(const ag::CapturedGraph& graph) {
+  return std::all_of(graph.slots.begin(), graph.slots.end(),
+                     [](const ag::CaptureSlot& s) {
+                       return s.producer >= 0 || s.is_input || s.parameter;
+                     });
 }
 
 // -- ExecContext --------------------------------------------------------------

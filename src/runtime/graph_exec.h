@@ -24,9 +24,10 @@
 // Determinism: every replay closure runs the same compute core as the op
 // walk, and every tuning knob is bitwise-neutral, so executor output is
 // bit-identical to the op-walk path for any DOINN_NUM_THREADS and batch
-// composition. The engine still validates each plan once on random data and
-// falls back to the op walk if an uninstrumented op slipped into a forward
-// (its output would have been frozen as a stale constant).
+// composition. The engine still rejects any graph that froze a
+// non-parameter constant (froze_only_parameters below: an uninstrumented op
+// slipped into the forward) and validates each plan bitwise against the op
+// walk once, falling back to the op walk on a mismatch.
 #pragma once
 
 #include <cstdint>
@@ -39,13 +40,30 @@
 
 namespace litho::runtime {
 
-/// Records @p forward once over @p example_input and returns the captured
+/// Records @p forward once over @p example_inputs and returns the captured
 /// graph. Runs under NoGradGuard with a thread-local GraphRecorder
-/// installed; the single graph input is the example tensor's slot, the
-/// single graph output is the forward result's slot.
+/// installed; graph input i is example_inputs[i]'s slot, the single graph
+/// output is the forward result's slot. The capture is an op walk: with
+/// @p result non-null it receives the forward's output on the examples.
+/// Traced as an `exec.capture` span with the input count and the trailing
+/// (h, w) extent of input 0.
+std::shared_ptr<ag::CapturedGraph> capture_graph(
+    const std::vector<Tensor>& example_inputs,
+    const std::function<ag::Variable(const std::vector<ag::Variable>&)>&
+        forward,
+    Tensor* result = nullptr);
+
+/// Single-input form of the above.
 std::shared_ptr<ag::CapturedGraph> capture_graph(
     const Tensor& example_input,
     const std::function<ag::Variable(const ag::Variable&)>& forward);
+
+/// True iff every frozen constant of @p graph is a requires_grad()
+/// parameter. Any other constant is the value of an op the recorder does
+/// not know, computed from the capture's inputs: replaying it would be
+/// stale on every other input, and validating on the capture's own inputs
+/// would not notice. The engine treats such a graph as a fallback.
+bool froze_only_parameters(const ag::CapturedGraph& graph);
 
 struct ExecutorOptions {
   /// Fold elementwise epilogue chains into conv GEMMs.

@@ -95,8 +95,12 @@ TEST(DeterminismMatrix, EveryConfigurationIsBitwiseIdenticalPerPrecision) {
   for (uint32_t seed = 1; seed <= 4; ++seed) {
     workload.push_back(random_mask(64, seed));
   }
+  // Three large masks of one shape: with the executor on, the first is the
+  // LP+IR capture, the second its validating replay, the third a trusted
+  // replay.
   workload.push_back(random_mask(96, 5));
   workload.push_back(random_mask(96, 6));
+  workload.push_back(random_mask(96, 7));
 
   const Precision precisions[] = {Precision::kFp32, Precision::kInt8};
   for (const Precision precision : precisions) {

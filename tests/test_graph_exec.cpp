@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "autograd/grad_mode.h"
+#include "autograd/ops.h"
 #include "core/doinn.h"
 #include "runtime/alloc_hooks.h"
 #include "runtime/engine.h"
@@ -105,21 +106,158 @@ TEST(GraphExec, BitwiseParityAcrossPrecisionsThreadsAndBatches) {
   }
 }
 
+// The large path compiles the LP+IR pass of the latest large shape: the
+// first request of a shape is the capture, the second replays and checks
+// the replay against the op walk, the third only replays, and a new shape
+// replaces the slot (so returning to the old shape captures again). Every
+// step must match the op walk bit for bit.
 TEST(GraphExec, PredictLargeMatchesOpWalkAcrossThreadCounts) {
   const core::DoinnConfig cfg = tiny_config();
-  const Tensor mask = random_mask(96, 11);  // 2x2 half-overlap clip grid
-  runtime::InferenceEngine walk(cfg, 9, engine_opts(Precision::kFp32, 1,
-                                                    false));
-  runtime::InferenceEngine serial(cfg, 9,
-                                  engine_opts(Precision::kFp32, 1, true));
-  runtime::InferenceEngine wide(cfg, 9,
-                                engine_opts(Precision::kFp32, 4, true));
-  const Tensor ref = walk.predict(mask);
-  EXPECT_TRUE(bitwise_equal(ref, serial.predict(mask)));
-  EXPECT_TRUE(bitwise_equal(ref, wide.predict(mask)));
-  // The clip fan-out must have compiled (and kept) a GP plan.
-  EXPECT_EQ(serial.plan_fallbacks(), 0);
-  EXPECT_GE(serial.plan_count(), 2);  // tile plan + gp plan
+  const Tensor a = random_mask(96, 11);   // 2x2 half-overlap clip grid
+  const Tensor b = random_mask(128, 12);  // 3x3 clip grid
+  const std::vector<const Tensor*> sequence = {&a, &a, &a, &b, &a};
+  // Plans built by each call: A adds the GP clip plan and its capture,
+  // B and the return to A one capture each.
+  const std::vector<int64_t> new_plans = {2, 0, 0, 1, 1};
+  for (Precision prec : {Precision::kFp32, Precision::kInt8}) {
+    runtime::EngineOptions walk_opts = engine_opts(prec, 1, false);
+    walk_opts.autotune = false;
+    runtime::InferenceEngine walk(cfg, 9, walk_opts);
+    const Tensor ref_a = walk.predict(a);
+    const Tensor ref_b = walk.predict(b);
+    for (int threads : {1, 3}) {
+      runtime::EngineOptions opts = engine_opts(prec, threads, true);
+      opts.autotune = false;
+      runtime::InferenceEngine engine(cfg, 9, opts);
+      int64_t plans = engine.plan_count();
+      for (size_t i = 0; i < sequence.size(); ++i) {
+        const Tensor got = engine.predict(*sequence[i]);
+        EXPECT_TRUE(bitwise_equal(sequence[i] == &b ? ref_b : ref_a, got))
+            << precision_name(prec) << " t" << threads << " call " << i;
+        EXPECT_EQ(engine.plan_count() - plans, new_plans[i])
+            << precision_name(prec) << " t" << threads << " call " << i;
+        plans = engine.plan_count();
+      }
+      EXPECT_EQ(engine.plan_fallbacks(), 0)
+          << precision_name(prec) << " t" << threads;
+    }
+  }
+}
+
+// A mask over 1024 x 1024 px never compiles its LP+IR pass (the plan's
+// arena would stay resident): it takes the op walk, adds no plan, and leaves
+// the latest compiled shape in the slot.
+TEST(GraphExec, PredictLargeOverPixelCapTakesOpWalk) {
+  const core::DoinnConfig cfg = tiny_config();
+  const Tensor a = random_mask(96, 13);
+  auto rng = test::rng(14);
+  Tensor big = Tensor::rand({64, 16416}, rng);  // 1'050'624 px
+  big.apply_([](float v) { return v >= 0.6f ? 1.f : 0.f; });
+
+  runtime::EngineOptions walk_opts = engine_opts(Precision::kFp32, 2, false);
+  walk_opts.autotune = false;
+  runtime::InferenceEngine walk(cfg, 9, walk_opts);
+  const Tensor ref_big = walk.predict(big);
+  const Tensor ref_a = walk.predict(a);
+
+  runtime::EngineOptions opts = engine_opts(Precision::kFp32, 2, true);
+  opts.autotune = false;
+  runtime::InferenceEngine engine(cfg, 9, opts);
+  engine.predict(a);  // GP clip plan and the capture of `a`
+  const int64_t plans = engine.plan_count();
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_TRUE(bitwise_equal(ref_big, engine.predict(big))) << "call " << i;
+    EXPECT_EQ(engine.plan_count(), plans) << "call " << i;
+  }
+  EXPECT_TRUE(bitwise_equal(ref_a, engine.predict(a)));  // validating replay
+  EXPECT_EQ(engine.plan_count(), plans);
+  EXPECT_EQ(engine.plan_fallbacks(), 0);
+}
+
+// The large plan's two-input graph (mask, stitched GP features) replays
+// bitwise equal to Doinn::forward_from_gp on inputs it was not captured on.
+TEST(GraphExec, TwoInputCaptureReplaysOnOtherInputs) {
+  const core::DoinnConfig cfg = tiny_config();
+  auto rng = test::rng(35);
+  core::Doinn model(cfg, rng);
+  model.set_training(false);
+  model.prepack_forward(Precision::kFp32);
+  runtime::ThreadPool pool(2);
+  runtime::ScopedPool scope(&pool);
+  auto gp_of = [&model](const Tensor& x) {
+    ag::NoGradGuard no_grad;
+    return model.gp_features(ag::Variable(x.clone(), false)).value();
+  };
+  const Tensor x0 = Tensor::rand({1, 1, 96, 96}, rng);
+  const Tensor x1 = Tensor::rand({1, 1, 96, 96}, rng);
+  const Tensor gp0 = gp_of(x0), gp1 = gp_of(x1);
+
+  Tensor captured;
+  auto graph = runtime::capture_graph(
+      {x0, gp0},
+      [&model](const std::vector<ag::Variable>& in) {
+        return model.forward_from_gp(in[1], in[0]);
+      },
+      &captured);
+  ASSERT_EQ(graph->inputs.size(), 2u);
+  EXPECT_TRUE(runtime::froze_only_parameters(*graph));
+  Tensor ref;
+  {
+    ag::NoGradGuard no_grad;
+    ref = model
+              .forward_from_gp(ag::Variable(gp1.clone(), false),
+                               ag::Variable(x1.clone(), false))
+              .value();
+  }
+  EXPECT_FALSE(bitwise_equal(captured, ref));  // the inputs really differ
+
+  runtime::ExecutorOptions eo;
+  eo.autotune = false;
+  runtime::GraphExecutor exec(std::move(graph), eo);
+  auto ctx = exec.acquire();
+  std::copy(x1.data(), x1.data() + x1.numel(), ctx->input(0));
+  std::copy(gp1.data(), gp1.data() + gp1.numel(), ctx->input(1));
+  exec.run(*ctx);
+  ASSERT_EQ(ctx->output_numel(0), ref.numel());
+  EXPECT_EQ(std::memcmp(ctx->output(0), ref.data(),
+                        sizeof(float) * static_cast<size_t>(ref.numel())),
+            0);
+  exec.release(std::move(ctx));
+}
+
+// Structural plan check: real DOINN captures freeze only parameters, while
+// a forward with an op the recorder cannot see (a raw Tensor::apply_)
+// freezes that op's output on the capture input as a constant — a graph
+// that would pass validation on its own capture input and be wrong on any
+// other.
+TEST(GraphExec, FrozenNonParameterConstantFailsStructuralCheck) {
+  const core::DoinnConfig cfg = tiny_config();
+  auto rng = test::rng(37);
+  core::Doinn model(cfg, rng);
+  model.set_training(false);
+  runtime::ThreadPool pool(1);
+  runtime::ScopedPool scope(&pool);
+  for (Precision prec : {Precision::kFp32, Precision::kInt8}) {
+    model.prepack_forward(prec);
+    for (int64_t n : {1, 2}) {
+      EXPECT_TRUE(runtime::froze_only_parameters(*runtime::capture_graph(
+          Tensor({n, 1, 64, 64}),
+          [&model](const ag::Variable& v) { return model.forward(v); })))
+          << precision_name(prec) << " batch " << n;
+    }
+    EXPECT_TRUE(runtime::froze_only_parameters(*runtime::capture_graph(
+        Tensor({1, 1, 64, 64}),
+        [&model](const ag::Variable& v) { return model.gp_features(v); })))
+        << precision_name(prec) << " gp";
+  }
+
+  auto graph = runtime::capture_graph(
+      Tensor::rand({1, 1, 64, 64}, rng), [](const ag::Variable& v) {
+        Tensor t = v.value().clone();
+        t.apply_([](float f) { return 2.f * f; });
+        return ag::tanh(ag::Variable(t, false));
+      });
+  EXPECT_FALSE(runtime::froze_only_parameters(*graph));
 }
 
 TEST(GraphExec, PlanCacheBuildsOncePerShapeAndReuses) {

@@ -281,8 +281,10 @@ TEST(Trace, RingWrapKeepsNewestEventsAndCountsDrops) {
   }
   trace::set_enabled(false);
 
+  // Keep the snapshot alive: `mine` points into it.
+  const std::vector<trace::ThreadEvents> snap = trace::snapshot();
   const trace::ThreadEvents* mine = nullptr;
-  for (const trace::ThreadEvents& te : trace::snapshot()) {
+  for (const trace::ThreadEvents& te : snap) {
     for (const trace::Event& ev : te.events) {
       if (std::string(ev.name) == "t.seq") {
         mine = &te;
