@@ -14,8 +14,11 @@
 // the int8 storage mode against the prepacked fp32 baseline. The
 // fp32 prepacked result is gated bitwise-identical to the per-call path;
 // the speedup gates are >= 1.15x prepack and >= 2x int8 (>= 1.0x / 1.2x
-// under --quick, whose single rep is too noisy for the tight bounds). The
-// JSON names the dispatched micro-kernel tier ("kernel_tier").
+// under --quick, whose single rep is too noisy for the tight bounds). A
+// last row times the DOINN convr2 conv per call vs prepacked (the serving
+// path, indirect feed included), gated bitwise only. The JSON opens with
+// the host block (CPU, threads, kernel tier, build, git revision; see
+// bench_util.h) and names the dispatched micro-kernel tier ("kernel_tier").
 //
 // Usage: bench_gemm_micro [reps] [--quick]   (exit 0 iff parity,
 // determinism and the speedup gates hold; --quick is the CI smoke mode)
@@ -23,6 +26,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -230,8 +234,9 @@ void write_json(const char* path, double prepack_x, double int8_x,
                 double prepack_gate, double int8_gate, bool bitwise) {
   FILE* f = std::fopen(path, "w");
   if (!f) return;
-  std::fprintf(f, "{\n  \"kernel_tier\": \"%s\",\n  \"gemm\": [\n",
-               litho::gemm_kernel_tier());
+  std::fprintf(f, "{\n  \"host\": %s,\n  \"kernel_tier\": \"%s\",\n"
+               "  \"gemm\": [\n",
+               litho::bench::host_json().c_str(), litho::gemm_kernel_tier());
   write_rows(f, g_rows, "legacy_ms");
   std::fprintf(f, "  ],\n  \"precision\": [\n");
   write_rows(f, g_prec, "base_ms");
@@ -494,6 +499,31 @@ int main(int argc, char** argv) {
                                            c_pp.data(), c_pp.numel()));
       ok = ok && max_abs_diff(c_i8, c_pp) < 0.05 * mag;
     }
+  }
+
+  // DOINN convr2 (DoinnConfig::small(): 16 -> 8 channels, 3x3, stride 1)
+  // on a batch-8 128 px tile, as the serving engine runs it: per-call
+  // ag::conv2d (packs every B panel) vs conv2d_prepacked (load-time
+  // PackedWeight plus the indirect feed, which reads interior B runs
+  // straight from the input). Reported and gated bitwise, not on speed.
+  {
+    const int64_t bsz = 8, cin = 16, cout = 8, hw = 128;
+    Tensor x = Tensor::randn({bsz, cin, hw, hw}, rng);
+    Tensor w = Tensor::randn({cout, cin, 3, 3}, rng, 0.f, 0.1f);
+    Tensor bias = Tensor::randn({cout}, rng);
+    const litho::ag::Variable xv(x), wv(w), bv(bias);
+    const auto packed = std::make_shared<const litho::PackedWeight>(
+        litho::GemmLayout::kNN, w.data(), cout, cin * 9,
+        litho::Precision::kFp32);
+    Tensor o_pc, o_pp;
+    const double t_percall = best_seconds(
+        reps, [&] { o_pc = litho::ag::conv2d(xv, wv, bv, 1, 1).value(); });
+    const double t_prepack = best_seconds(reps, [&] {
+      o_pp = litho::ag::conv2d_prepacked(xv, wv, packed, bv, 1, 1).value();
+    });
+    report_prec("prepack fp32 conv2d convr2", "8x16x128^2->8", t_percall,
+                t_prepack);
+    prec_bitwise = prec_bitwise && max_abs_diff(o_pc, o_pp) == 0.0;
   }
 
   // -- Parity and determinism gates ---------------------------------------

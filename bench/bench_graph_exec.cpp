@@ -21,8 +21,9 @@
 // replays — so a --trace-out file carries the exec.capture / exec.plan /
 // exec.replay spans CI validates with scripts/trace_summary.py — then
 // disabled for the timed phase. The results are merged into BENCH_gemm.json
-// in the working directory as a "graph_exec" section (run bench_gemm_micro
-// first to get the GEMM sections; this bench only rewrites its own section).
+// in the working directory as a "graph_exec" section with its own host
+// block (run bench_gemm_micro first to get the GEMM sections; this bench
+// only rewrites its own section).
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -303,8 +304,8 @@ int main(int argc, char** argv) {
                 static_cast<long long>(arena_bytes));
   merge_graph_exec_section(
       "BENCH_gemm.json",
-      std::string("{\n    \"rows\": [\n") + json_rows() + "    ],\n" + gates +
-          "  }");
+      std::string("{\n    \"host\": ") + litho::bench::host_json() +
+          ",\n    \"rows\": [\n" + json_rows() + "    ],\n" + gates + "  }");
   std::printf("merged graph_exec section into BENCH_gemm.json (%zu rows)\n",
               g_rows.size());
 

@@ -46,17 +46,6 @@ struct ReplayIO {
 
 using ReplayFn = std::function<void(const ReplayIO&)>;
 
-/// Shape-specialized im2col row decode, precomputed once at capture time:
-/// logical B row kk of the implicit im2col matrix reads input plane
-/// `plane`, displaced by (dy, dx) from the output pixel. Replay packers use
-/// the table instead of re-deriving channel/ki/kj per panel; the gathered
-/// values are identical, so replays stay bitwise equal to the op walk.
-struct Im2colStep {
-  int64_t plane;  // channel * h * w
-  int32_t dy;     // ki - padding
-  int32_t dx;     // kj - padding
-};
-
 /// Mutable per-node knobs the planner and autotuner write after capture and
 /// the replay closure reads on every run: the fused epilogue chain plus the
 /// GEMM tuning choices. Conv closures hold this by shared_ptr so rewrites
@@ -64,7 +53,11 @@ struct Im2colStep {
 struct NodeTuning {
   std::vector<EpiloguePostStage> post;  // fused elementwise epilogue
   std::vector<Tensor> keepalive;        // buffers the stages point into
-  std::vector<Im2colStep> im2col;       // per-row gather table (may be empty)
+  // Shape-specialized im2col row decode (tensor/gemm.h), one Im2colStep
+  // per logical B row, built once at capture time: replay packers gather
+  // through it, and stride-1 convs feed the indirect micro-kernel from it.
+  // Empty for transposed convs.
+  std::vector<Im2colStep> im2col;
   int64_t nc = 0;                       // column-block width (0 = default)
   BFeed bfeed = BFeed::kAuto;           // B-feed strategy
 };

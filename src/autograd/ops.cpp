@@ -44,12 +44,27 @@ struct ConvDims {
 // plane. Gathered values are exact copies, so conv results stay bitwise
 // identical to the explicit im2col + GEMM formulation.
 
+/// Fills dst[0, cin*kh*kw) with the conv's Im2colStep table, row order
+/// kk = (channel * kh + ki) * kw + kj — the packer's decode order.
+void fill_im2col_steps(const ConvDims& d, int64_t padding, Im2colStep* dst) {
+  for (int64_t c = 0; c < d.cin; ++c) {
+    for (int64_t ki = 0; ki < d.kh; ++ki) {
+      for (int64_t kj = 0; kj < d.kw; ++kj) {
+        const int64_t dy = ki - padding, dx = kj - padding;
+        *dst++ = {c * d.h * d.w + dy * d.w + dx, static_cast<int32_t>(dy),
+                  static_cast<int32_t>(dx)};
+      }
+    }
+  }
+}
+
 /// Logical B = im2col(x): row k = (channel, ki, kj), column j = (oy, ox).
 class Im2colPacker final : public BPanelPacker {
  public:
-  /// @p steps (nullable) is a capture-time Im2colStep table indexed by
-  /// logical row kk; with it, pack() skips the per-row channel/ki/kj
-  /// decode. Same gathered values either way.
+  /// @p steps (nullable) is an Im2colStep table indexed by logical row kk
+  /// (fill_im2col_steps); with it, pack() skips the per-row channel/ki/kj
+  /// decode and a stride-1 conv offers the indirect feed. Same gathered
+  /// values either way.
   Im2colPacker(const float* x, int64_t h, int64_t w, int64_t k,
                int64_t stride, int64_t padding, int64_t ow,
                const Im2colStep* steps = nullptr)
@@ -80,36 +95,23 @@ class Im2colPacker final : public BPanelPacker {
       // to a straight vector copy.
       const bool one_row = oy[0] == oy[nr - 1];
       for (int64_t kk = k0; kk < k1; ++kk) {
-        int64_t dy, dx;
-        const float* plane;
-        if (steps_ != nullptr) {
-          const Im2colStep& st = steps_[kk];
-          plane = x_ + st.plane;
-          dy = st.dy;
-          dx = st.dx;
-        } else {
-          const int64_t kj = kk % k_;
-          const int64_t ki = (kk / k_) % k_;
-          plane = x_ + (kk / (k_ * k_)) * h_ * w_;
-          dy = ki - padding_;
-          dx = kj - padding_;
-        }
+        const Im2colStep st = steps_ != nullptr ? steps_[kk] : step(kk);
         float* d = p + (kk - k0) * kGemmNR;
         if (one_row && stride_ == 1) {
-          const int64_t iy = oy[0] + dy;
-          const int64_t ix0 = ox[0] + dx;
+          const int64_t iy = oy[0] + st.dy;
+          const int64_t ix0 = ox[0] + st.dx;
           if (iy >= 0 && iy < h_ && ix0 >= 0 && ix0 + nr <= w_) {
-            const float* src = plane + iy * w_ + ix0;
+            const float* src = x_ + (st.off + oy[0] * w_ + ox[0]);
             for (int64_t j = 0; j < nr; ++j) d[j] = src[j];
             for (int64_t j = nr; j < kGemmNR; ++j) d[j] = 0.f;
             continue;
           }
         }
         for (int64_t j = 0; j < nr; ++j) {
-          const int64_t iy = oy[j] * stride_ + dy;
-          const int64_t ix = ox[j] * stride_ + dx;
+          const int64_t iy = oy[j] * stride_ + st.dy;
+          const int64_t ix = ox[j] * stride_ + st.dx;
           d[j] = (iy >= 0 && iy < h_ && ix >= 0 && ix < w_)
-                     ? plane[iy * w_ + ix]
+                     ? x_[st.off + (oy[j] * w_ + ox[j]) * stride_]
                      : 0.f;
         }
         for (int64_t j = nr; j < kGemmNR; ++j) d[j] = 0.f;
@@ -117,7 +119,32 @@ class Im2colPacker final : public BPanelPacker {
     }
   }
 
+  const Im2colStep* indirect_rows() const override {
+    return stride_ == 1 ? steps_ : nullptr;
+  }
+
+  /// A run of 2*kGemmNR pixels is in place when it stays on one output row
+  /// and every tap of every pixel lies inside the input plane; then row kk
+  /// of the run starts at x[off + oy*w + ox0].
+  const float* indirect_base(int64_t j) const override {
+    const int64_t oy = j / ow_, ox0 = j % ow_;
+    const int64_t run = 2 * kGemmNR;
+    const bool inside = ox0 + run <= ow_ && oy - padding_ >= 0 &&
+                        oy - padding_ + k_ <= h_ && ox0 - padding_ >= 0 &&
+                        ox0 + run - 1 - padding_ + k_ <= w_;
+    return inside ? x_ + (oy * w_ + ox0) : nullptr;
+  }
+
  private:
+  /// Row kk's step decoded from (channel, ki, kj), as fill_im2col_steps
+  /// builds it.
+  Im2colStep step(int64_t kk) const {
+    const int64_t dx = kk % k_ - padding_;
+    const int64_t dy = (kk / k_) % k_ - padding_;
+    return {(kk / (k_ * k_)) * h_ * w_ + dy * w_ + dx,
+            static_cast<int32_t>(dy), static_cast<int32_t>(dx)};
+  }
+
   const float* x_;
   int64_t h_, w_, k_, stride_, padding_, ow_;
   const Im2colStep* steps_;
@@ -288,6 +315,18 @@ void conv2d_prepacked_run(const ConvDims& d, const PackedWeight& wp,
   }
   const int64_t blocks = gemm_col_blocks(l, ep.nc);
 
+  // Im2col row table: the capture-time one on replay; the op walk builds
+  // the same table on the stack when it fits one K step (the only case the
+  // engine can feed indirectly), so both take the same B feed.
+  const Im2colStep* steps = nullptr;
+  Im2colStep local_steps[kGemmKC];
+  if (tuning != nullptr && !tuning->im2col.empty()) {
+    steps = tuning->im2col.data();
+  } else if (!pointwise && d.cin * d.kh * d.kw <= kGemmKC) {
+    fill_im2col_steps(d, padding, local_steps);
+    steps = local_steps;
+  }
+
   // Per-sample activation scale for int8: max|x_s| over the whole sample
   // bounds every im2col entry (padding gathers zeros), and max is
   // order-independent, so the scale — and everything derived from it — does
@@ -318,10 +357,7 @@ void conv2d_prepacked_run(const ConvDims& d, const PackedWeight& wp,
       const int64_t blk = t % blocks;
       const float* xs = x + s * d.cin * d.h * d.w;
       float* cs = out + s * d.cout * l;
-      const Im2colPacker im(xs, d.h, d.w, d.kh, stride, padding, d.ow,
-                            tuning != nullptr && !tuning->im2col.empty()
-                                ? tuning->im2col.data()
-                                : nullptr);
+      const Im2colPacker im(xs, d.h, d.w, d.kh, stride, padding, d.ow, steps);
       const StridedBPacker direct(xs, l, /*transposed=*/false);
       const BPanelPacker& bp =
           pointwise ? static_cast<const BPanelPacker&>(direct)
@@ -798,18 +834,9 @@ Variable conv2d_prepacked(const Variable& x, const Variable& w,
   if (GraphRecorder* rec = active_recorder()) {
     auto tuning = std::make_shared<NodeTuning>();
     // Shape-specialized gather table: one decode per logical im2col row,
-    // amortized over every replay (row order matches the packer's
-    // kk = (channel * kh + ki) * kw + kj decode).
-    tuning->im2col.reserve(static_cast<size_t>(ckk));
-    for (int64_t c = 0; c < d.cin; ++c) {
-      for (int64_t ki = 0; ki < d.kh; ++ki) {
-        for (int64_t kj = 0; kj < d.kw; ++kj) {
-          tuning->im2col.push_back({c * d.h * d.w,
-                                    static_cast<int32_t>(ki - padding),
-                                    static_cast<int32_t>(kj - padding)});
-        }
-      }
-    }
+    // amortized over every replay.
+    tuning->im2col.resize(static_cast<size_t>(ckk));
+    fill_im2col_steps(d, padding, tuning->im2col.data());
     Tensor bias_t = has_bias ? b.value() : Tensor();
     std::shared_ptr<const PackedWeight> pack = wp;
     CaptureNode& node = rec->record(

@@ -86,7 +86,7 @@ void run_col_block(const PackedPanelsView* pa, GemmLayout layout,
   }
 
   const int64_t jt_count = ceil_div(j1 - j0, NR);
-  // Three ways to feed B to the micro-kernel, picked per operand:
+  // Four ways to feed B to the micro-kernel, picked per operand:
   //  - direct: stream row-contiguous B in place. Worth it only while the K
   //    extent keeps the strided row streams prefetcher-sized (deep K plus a
   //    power-of-two stride aliases the same cache sets on every tile
@@ -94,7 +94,11 @@ void run_col_block(const PackedPanelsView* pa, GemmLayout layout,
   //  - fused: strided-viewable B with deep K — the first row tile's kernel
   //    pass reads B from its source and stores the packed panels on the way
   //    past (no separate packing walk); later tiles read the panels.
-  //  - packed: everything else (transposed layouts, implicit im2col)
+  //  - indirect: a packer with an offset table (stride-1 implicit im2col),
+  //    one K step, one A stripe and a plain C = A·B (+ bias) — each paired
+  //    run the packer accepts is read in place by add_pair_ind; the other
+  //    runs are packed tile-wise (below) just before their kernels.
+  //  - packed: everything else (transposed layouts, every other im2col)
   //    gathers panels through the virtual pack() up front.
   const float* bbase = nullptr;
   int64_t brstride = 0;
@@ -113,12 +117,19 @@ void run_col_block(const PackedPanelsView* pa, GemmLayout layout,
   // a single MC stripe, each panel is packed into one reused two-panel
   // buffer immediately before the kernels that consume it, so packed B
   // lives in L1 instead of round-tripping a whole NC block through L2.
-  // Same gathered values, same kernel order — bitwise identical output;
-  // only worth it for the skinny-M im2col GEMMs, so it is autotune-gated
-  // (the graph executor's per-shape tuner flips BFeed::kPack on when it
-  // measures a win) rather than a default.
-  const bool tile_pack = !direct && !fused && !viewable &&
-                         ep.bfeed == BFeed::kPack && m <= kGemmMC;
+  // Same gathered values, same kernel order — bitwise identical output.
+  // On its own it is only worth it for the skinny-M im2col GEMMs, so it is
+  // autotune-gated (the graph executor's per-shape tuner flips BFeed::kPack
+  // on when it measures a win); the indirect feed always uses it for the
+  // runs it cannot read in place.
+  const Im2colStep* ind_rows =
+      !viewable && ep.bfeed == BFeed::kAuto && !ep.accumulate &&
+              !ep.subtract && k <= kGemmKC && m <= kGemmMC
+          ? bp.indirect_rows()
+          : nullptr;
+  const bool tile_pack =
+      ind_rows != nullptr || (!direct && !fused && !viewable &&
+                              ep.bfeed == BFeed::kPack && m <= kGemmMC);
   std::optional<runtime::FloatWorkspace> bws;
   if (!direct) {
     bws.emplace(static_cast<size_t>(
@@ -160,6 +171,40 @@ void run_col_block(const PackedPanelsView* pa, GemmLayout layout,
       for (int64_t t = 0; t < jt_count;) {
         const int64_t c0 = j0 + t * NR;
         const int64_t nr = std::min(NR, j1 - c0);
+        const bool full_pair =
+            nr == NR && t + 1 < jt_count && j1 - (c0 + NR) >= NR;
+        const float* ibase =
+            ind_rows != nullptr && full_pair ? bp.indirect_base(c0) : nullptr;
+        if (ibase != nullptr) {
+          // Indirect pair: B rows come straight from the input. The gate
+          // above means one K step with beta = 0, so init is always set.
+          for (int64_t it = 0; it < mtiles; ++it) {
+            const int64_t r0 = i0 + it * MR;
+            const int64_t mr = std::min(MR, m - r0);
+            float* ct = c + r0 * n + c0;
+            const float* brow = bias ? bias + r0 : nullptr;
+            const float* apan = apanels + it * panel_stride;
+            if (mr == MR) {
+              kern.add_pair_ind(klen, apan, ibase, ind_rows + k0, ct, n, init,
+                                brow);
+              continue;
+            }
+            // Ragged M: the full tile goes to local scratch (padded A rows
+            // are zero) and only the mr valid rows are copied out, with the
+            // bias added as micro_kernel_edge adds it.
+            float cbuf[MR * 2 * NR];
+            kern.add_pair_ind(klen, apan, ibase, ind_rows + k0, cbuf, 2 * NR,
+                              /*init=*/true, nullptr);
+            for (int64_t r = 0; r < mr; ++r) {
+              for (int64_t j = 0; j < 2 * NR; ++j) {
+                ct[r * n + j] = brow ? cbuf[r * 2 * NR + j] + brow[r]
+                                     : cbuf[r * 2 * NR + j];
+              }
+            }
+          }
+          t += 2;
+          continue;
+        }
         const float* bpan;
         int64_t bstride;
         if (direct && nr == NR) {
@@ -185,8 +230,7 @@ void run_col_block(const PackedPanelsView* pa, GemmLayout layout,
         // Fused mode packs lazily: paired full tiles are packed by the
         // first row tile's fused kernel call; leftover tiles fall back to
         // the virtual pack() once per K step (i0 == 0 pass).
-        const bool pair = kern.add_pair && nr == NR && t + 1 < jt_count &&
-                          j1 - (c0 + NR) >= NR;
+        const bool pair = kern.add_pair && full_pair;
         if (tile_pack) {
           // Refill the reused two-panel buffer just before use; the single
           // MC stripe (m <= kGemmMC) means no later row pass rereads it.

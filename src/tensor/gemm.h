@@ -7,6 +7,10 @@
 // full Cin·K·K × L column buffer is never materialized), and the Fourier
 // Unit's spectral mixing (clift via split real/imaginary GEMMs,
 // cmode_matmul via the mode-blocked kernel at the bottom of this header).
+// Stride-1 prepacked inference convs go one step further: the indirect
+// convolution feed (M. Dukhan, "The Indirect Convolution Algorithm", 2019)
+// runs the micro-kernel straight on the input plane through a per-row
+// offset table (Im2colStep), so interior B panels are never packed at all.
 //
 // Blocking scheme (see README "GEMM & convolution kernels"):
 //  - C is computed in kMR x kNR register tiles; A and B are repacked into
@@ -74,12 +78,26 @@ struct EpiloguePostStage {
   const float* beta = nullptr;
 };
 
-/// How a column block feeds B to the micro-kernel when the operand is
-/// strided-viewable. kAuto applies the heuristic in run_col_block; the
-/// forced modes exist for the graph executor's per-shape autotuner. All
-/// three read the same values in the same per-element order, so the choice
-/// never changes bits.
+/// How a column block feeds B to the micro-kernel. kAuto applies the
+/// heuristic in run_col_block, which includes the indirect feed whenever
+/// the packer offers one (BPanelPacker::indirect_rows); the forced modes
+/// exist for the graph executor's per-shape autotuner and never feed
+/// indirectly. Every mode reads the same values in the same per-element
+/// order, so the choice never changes bits.
 enum class BFeed : int8_t { kAuto = 0, kStream = 1, kPack = 2 };
+
+/// One logical B row of an implicit im2col operand, precomputed once per
+/// conv shape: row kk reads the input at (dy, dx) from the output pixel,
+/// which for stride 1 is the flat offset `off = plane + dy*w + dx` from the
+/// pixel's own index (plane = channel*h*w). The graph executor keeps one
+/// table per conv node (ag::NodeTuning::im2col); the packer gathers through
+/// it, and the indirect micro-kernel reads B(kk, j) = x[off + oy*w + ox0 + j]
+/// straight from it.
+struct Im2colStep {
+  int64_t off;  // plane + dy * w + dx
+  int32_t dy;   // ki - padding
+  int32_t dx;   // kj - padding
+};
 
 /// Epilogue applied by the micro-kernel on write-back.
 struct GemmEpilogue {
@@ -131,6 +149,22 @@ class BPanelPacker {
     (void)base;
     (void)row_stride;
     return false;
+  }
+
+  /// Indirect feed. A packer whose logical B row kk sits at a fixed offset
+  /// rows[kk].off from a per-column base pointer (stride-1 implicit im2col)
+  /// returns that row table here; the engine then reads in place every
+  /// column run indirect_base() accepts. Default: nullptr (pack only).
+  virtual const Im2colStep* indirect_rows() const { return nullptr; }
+
+  /// For a packer with indirect_rows(): the base pointer of the run of
+  /// 2*kGemmNR logical columns starting at @p j, such that
+  /// B(kk, j + jj) = base[rows[kk].off + jj] — or nullptr when the run is
+  /// not in place (it crosses an output row, or a tap falls in the
+  /// padding), in which case the engine packs that run instead.
+  virtual const float* indirect_base(int64_t j) const {
+    (void)j;
+    return nullptr;
   }
 };
 

@@ -20,6 +20,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "tensor/gemm.h"
+
 namespace litho::detail {
 
 struct KernelTable {
@@ -47,6 +49,14 @@ struct KernelTable {
                               const float* b1, int64_t bstride, float* pack0,
                               float* pack1, float* c, int64_t ldc, bool init,
                               const float* bias);
+  // Indirect paired tile (every tier): like PairFn, but B is read in place
+  // through an offset table — B(kk, jj) = base[rows[kk].off + jj] for the
+  // 2*NR columns jj — so no panel is packed. Same values in the same k
+  // order as add_pair over panels packed from those rows; the baseline
+  // tier runs it as two single-tile loops.
+  using PairIndFn = void (*)(int64_t klen, const float* ap, const float* base,
+                             const Im2colStep* rows, float* c, int64_t ldc,
+                             bool init, const float* bias);
 
   // -- int8 (prepacked inference path, tensor/prepack.h) ---------------------
   // One MR x NR int8 tile over one K chunk (kquads packed k-quads):
@@ -93,6 +103,7 @@ struct KernelTable {
   PairFn add_pair = nullptr;
   PairFn sub_pair = nullptr;
   PairPackFn add_pair_pack = nullptr;
+  PairIndFn add_pair_ind = nullptr;
   I8Fn i8 = nullptr;
   I8PairFn i8x2 = nullptr;
   I8QuantFn i8_quant = nullptr;

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <random>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -16,6 +19,7 @@
 #include "runtime/workspace.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_kernels.h"
+#include "tensor/prepack.h"
 #include "tensor/tensor.h"
 #include "test_util.h"
 
@@ -265,6 +269,33 @@ TEST(Gemm, BaselineAndDispatchedKernelTablesAgreeBitwise) {
   const Tensor pair_add_ref = two_singles(base.add, 0.f, true, bias.data());
   const Tensor pair_sub_ref = two_singles(base.sub, 2.f, false, nullptr);
 
+  // Indirect pair: B row kk is the 2*NR floats at xbase + rows[kk].off, with
+  // offsets scattered on both sides of the base, as im2col taps are. The
+  // reference is two baseline add calls over panels packed from the same
+  // offsets.
+  Tensor xsrc = Tensor::randn({1024}, g);
+  const float* xbase = xsrc.data() + 512;
+  std::vector<Im2colStep> rows(static_cast<size_t>(klen));
+  std::uniform_int_distribution<int64_t> offd(-512, 512 - 2 * kGemmNR);
+  for (Im2colStep& r : rows) r = {offd(g), 0, 0};
+  Tensor ind0({klen, kGemmNR}), ind1({klen, kGemmNR});
+  for (int64_t kk = 0; kk < klen; ++kk) {
+    for (int64_t j = 0; j < kGemmNR; ++j) {
+      ind0[kk * kGemmNR + j] = xbase[rows[kk].off + j];
+      ind1[kk * kGemmNR + j] = xbase[rows[kk].off + kGemmNR + j];
+    }
+  }
+  auto two_packed_adds = [&](float start, bool init, const float* bias_p) {
+    Tensor c = Tensor::full({kGemmMR, ldc}, start);
+    base.add(klen, a.data(), ind0.data(), kGemmNR, c.data(), ldc, init,
+             bias_p);
+    base.add(klen, a.data(), ind1.data(), kGemmNR, c.data() + kGemmNR, ldc,
+             init, bias_p);
+    return c;
+  };
+  const Tensor ind_ref = two_packed_adds(0.f, true, bias.data());
+  const Tensor ind_resume_ref = two_packed_adds(2.f, false, nullptr);
+
   for (const detail::KernelTable* tier : tiers) {
     SCOPED_TRACE(tier->name);
     const detail::KernelTable& t = *tier;
@@ -297,6 +328,18 @@ TEST(Gemm, BaselineAndDispatchedKernelTablesAgreeBitwise) {
       t.sub_pair(klen, a.data(), b0, b1, bstride, p.data(), ldc,
                  /*init=*/false, nullptr);
       EXPECT_LE(test::max_abs_diff(pair_sub_ref, p), ktol);
+    }
+    // Every tier provides the indirect pair.
+    ASSERT_NE(t.add_pair_ind, nullptr);
+    {
+      Tensor p({kGemmMR, ldc});
+      t.add_pair_ind(klen, a.data(), xbase, rows.data(), p.data(), ldc,
+                     /*init=*/true, bias.data());
+      EXPECT_LE(test::max_abs_diff(ind_ref, p), ktol);
+      Tensor q = Tensor::full({kGemmMR, ldc}, 2.f);
+      t.add_pair_ind(klen, a.data(), xbase, rows.data(), q.data(), ldc,
+                     /*init=*/false, nullptr);
+      EXPECT_LE(test::max_abs_diff(ind_resume_ref, q), ktol);
     }
     if (t.add_pair_pack != nullptr) {
       Tensor p({kGemmMR, ldc});
@@ -429,6 +472,63 @@ TEST(ConvGemm, ConvTransposeDeterministicAcrossThreadCounts) {
   EXPECT_EQ(test::max_abs_diff(o1, o8), 0.f);
   EXPECT_EQ(test::max_abs_diff(gx1, gx8), 0.f);
   EXPECT_EQ(test::max_abs_diff(gw1, gw8), 0.f);
+}
+
+// The prepacked fp32 conv feeds stride-1 convs with K <= kGemmKC and
+// M <= kGemmMC to the indirect micro-kernel straight from the input plane,
+// and packs only the column runs that cross an output row or touch the
+// padding. Sweep the shapes where that split moves — kernel/padding
+// (k3 p0 makes ow != w), widths around the 16-pixel run, ragged and
+// multi-tile M, plus M = 65 and K = 513 which must keep the packed path —
+// and require bitwise equality with ag::conv2d, which always packs. The
+// inputs are exact-size tensors, so a sanitizer build flags any read
+// past an input plane.
+TEST(ConvGemm, PrepackedIndirectFeedBitwiseMatchesConv2dSweep) {
+  auto g = test::rng(59);
+  struct KP {
+    int64_t k, pad;
+  };
+  struct Mk {
+    int64_t m, cin;
+  };
+  const KP kps[] = {{3, 1}, {5, 2}, {3, 0}};
+  const int64_t widths[] = {12, 16, 24, 40, 96, 128};
+  const Mk mks[] = {{1, 4}, {5, 4}, {8, 3}, {16, 4}, {64, 2}, {65, 4}};
+  const int64_t h = 9;
+  auto bitwise_equal = [](const Tensor& a, const Tensor& b) {
+    return a.same_shape(b) &&
+           std::memcmp(a.data(), b.data(),
+                       sizeof(float) * static_cast<size_t>(a.numel())) == 0;
+  };
+  auto check = [&](int64_t n, int64_t cin, int64_t m, int64_t k, int64_t pad,
+                   int64_t w) {
+    SCOPED_TRACE("n=" + std::to_string(n) + " cin=" + std::to_string(cin) +
+                 " m=" + std::to_string(m) + " k=" + std::to_string(k) +
+                 " pad=" + std::to_string(pad) + " w=" + std::to_string(w));
+    const Tensor x = Tensor::randn({n, cin, h, w}, g);
+    const Tensor wt = Tensor::randn({m, cin, k, k}, g, 0.f, 0.3f);
+    const Tensor bias = Tensor::randn({m}, g);
+    const ag::Variable xv(x), wv(wt), bv(bias);
+    const Tensor ref = ag::conv2d(xv, wv, bv, 1, pad).value();
+    const auto packed = std::make_shared<const PackedWeight>(
+        GemmLayout::kNN, wt.data(), m, cin * k * k, Precision::kFp32);
+    for (int threads : {1, 3}) {
+      runtime::ThreadPool pool(threads);
+      runtime::ScopedPool sp(&pool);
+      const Tensor out =
+          ag::conv2d_prepacked(xv, wv, packed, bv, 1, pad).value();
+      EXPECT_TRUE(bitwise_equal(ref, out)) << "threads=" << threads;
+    }
+  };
+  for (const int64_t n : {int64_t{1}, int64_t{3}}) {
+    for (const KP& kp : kps) {
+      for (const int64_t w : widths) {
+        for (const Mk& mk : mks) check(n, mk.cin, mk.m, kp.k, kp.pad, w);
+      }
+    }
+    // K = 57 * 3 * 3 = 513: one past a single K step.
+    check(n, 57, 8, 3, 1, 40);
+  }
 }
 
 // -- Spectral mixing kernel ---------------------------------------------------
