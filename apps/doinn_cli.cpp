@@ -13,9 +13,9 @@
 //                       [--precision fp32|int8]   (inference storage)
 //                       [--no-graph-exec] [--no-autotune]
 //                       (--no-graph-exec disables the compiled static-graph
-//                       executor; an int8 engine keeps the conv shapes where
-//                       int8 doesn't pay in fp32, or packs every conv int8
-//                       under --no-autotune)
+//                       executor; --no-autotune skips the load-time tuning
+//                       of kernel knobs only and never changes output bits;
+//                       an int8 model packs every conv int8)
 //   doinn_cli mrc       --mask mask.pgm [--pixel 16] [--min-feature 48]
 //                       [--min-gap 48]   (mask rule check; exit 1 on violations)
 //
@@ -146,9 +146,8 @@ int cmd_train(const Args& args) {
 int cmd_predict(const Args& args) {
   if (args.has("int8-policy")) {
     std::fprintf(stderr,
-                 "error: --int8-policy was removed; with autotune on an int8 "
-                 "model keeps the conv shapes where int8 doesn't pay in "
-                 "fp32, and --no-autotune packs every conv int8\n");
+                 "error: --int8-policy was removed; an int8 model packs "
+                 "every conv int8\n");
     return 2;
   }
   runtime::EngineOptions opts;

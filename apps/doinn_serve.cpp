@@ -127,16 +127,16 @@ void usage() {
       "derives the flush delay from the observed arrival rate; --queue-cap\n"
       "bounds each replica's queue (a full queue answers BUSY).\n"
       "--precision selects the inference storage precision (fp32 is\n"
-      "bitwise-exact; int8 is faster, reduced-accuracy).\n"
+      "bitwise-exact; an int8 model packs every conv int8: reduced\n"
+      "accuracy, usually faster).\n"
       "--no-graph-exec disables the compiled static-graph executor;\n"
-      "--no-autotune skips load-time kernel autotuning (an int8 model then\n"
-      "packs every conv int8 instead of keeping the conv shapes where int8\n"
-      "doesn't pay in fp32). --idle-timeout-s closes connections with no\n"
-      "activity for that long (0 disables). --trace-out enables tracing\n"
-      "and writes Chrome Trace Event JSON on shutdown; --metrics-out writes\n"
-      "a metrics snapshot; SIGUSR1 dumps both mid-run. The startup banner\n"
-      "names the GEMM kernel tier in use. See the header of\n"
-      "apps/doinn_serve.cpp for details.\n");
+      "--no-autotune skips load-time kernel autotuning (kernel knobs only;\n"
+      "never changes output bits). --idle-timeout-s closes connections\n"
+      "with no activity for that long (0 disables). --trace-out enables\n"
+      "tracing and writes Chrome Trace Event JSON on shutdown;\n"
+      "--metrics-out writes a metrics snapshot; SIGUSR1 dumps both mid-run.\n"
+      "The startup banner names the GEMM kernel tier in use. See the header\n"
+      "of apps/doinn_serve.cpp for details.\n");
 }
 
 /// Prints the per-model request/batch summary.
@@ -191,9 +191,8 @@ int main(int argc, char** argv) {
     }
     if (args.has("int8-policy")) {
       std::fprintf(stderr,
-                   "error: --int8-policy was removed; with autotune on an "
-                   "int8 model keeps the conv shapes where int8 doesn't pay "
-                   "in fp32, and --no-autotune packs every conv int8\n");
+                   "error: --int8-policy was removed; an int8 model packs "
+                   "every conv int8\n");
       return 2;
     }
     if (args.get_bool("help") ||

@@ -23,6 +23,9 @@
 #     traffic by the protocol-v2 model field, the `model:` manifest prefix
 #     and --model to the right model, byte-identical to per-model local
 #     predictions;
+#   - an int8 server (autotune on) matches `doinn_cli predict --precision
+#     int8 --no-autotune` byte for byte on a 128-px metal model where int8
+#     and fp32 references differ (the check fails if they never do);
 #   - retired inputs fail at startup with a message naming the
 #     replacement: `--precision bf16`, `--int8-policy`, and a registry line
 #     naming bf16.
@@ -123,8 +126,8 @@ expect_rejected() {
 }
 expect_rejected "expected fp32 or int8" --weights "$WORK/weights.bin" \
   --listen 0 --precision bf16
-expect_rejected "--no-autotune" --weights "$WORK/weights.bin" --listen 0 \
-  --int8-policy always
+expect_rejected "packs every conv int8" --weights "$WORK/weights.bin" \
+  --listen 0 --int8-policy always
 echo "gamma $WORK/weights.bin bf16 1" > "$WORK/bf16_registry.txt"
 expect_rejected "want fp32|int8" --models "$WORK/bf16_registry.txt" \
   --listen 0
@@ -303,5 +306,45 @@ for i in 1 2; do
   expect_same "$WORK/ref_b$i.pgm" "$WORK/flag_b$i.pgm" "--model beta contour $i"
 done
 echo "two-model routing byte-identical"
+
+echo "== int8 serving end to end =="
+# The via models above print all-foreground contours, where int8 and fp32
+# bytes agree; this metal model prints real shapes. The server runs int8
+# with autotune on, the references with --no-autotune: same bytes.
+METAL=$WORK/weights_metal.bin
+"$BUILD/doinn_cli" train --kind metal --tile 128 --count 8 --epochs 4 \
+  --out "$METAL"
+differs=0
+for i in 1 2 3; do
+  "$BUILD/doinn_cli" generate --kind metal --tile 128 --seed "$i" \
+    --out "$WORK/metal$i.pgm"
+  "$BUILD/doinn_cli" predict --weights "$METAL" --mask "$WORK/metal$i.pgm" \
+    --out "$WORK/ref_metal$i.pgm"
+  "$BUILD/doinn_cli" predict --weights "$METAL" --mask "$WORK/metal$i.pgm" \
+    --out "$WORK/ref_i8_metal$i.pgm" --precision int8 --no-autotune
+  cmp -s "$WORK/ref_metal$i.pgm" "$WORK/ref_i8_metal$i.pgm" ||
+    differs=$((differs + 1))
+  echo "$WORK/metal$i.pgm $WORK/sock_i8_metal$i.pgm" \
+    >> "$WORK/int8_manifest.txt"
+done
+[ "$differs" -gt 0 ] || {
+  echo "net_smoke: int8 and fp32 references agree on all 3 metal masks," \
+    "so the int8 byte check would prove nothing" >&2
+  exit 1
+}
+
+start_server "$WORK/int8_server.log" --weights "$METAL" --listen 0 \
+  --precision int8
+"$BUILD/doinn_client" --connect "127.0.0.1:$PORT" \
+  --manifest "$WORK/int8_manifest.txt" --concurrency 2
+"$BUILD/doinn_client" --connect "127.0.0.1:$PORT" --shutdown
+wait "$SERVER_PID"
+SERVER_PID=""
+cat "$WORK/int8_server.log"
+for i in 1 2 3; do
+  expect_same "$WORK/ref_i8_metal$i.pgm" "$WORK/sock_i8_metal$i.pgm" \
+    "int8 socket contour $i"
+done
+echo "int8 socket contours byte-identical ($differs of 3 differ from fp32)"
 
 echo "net_smoke: PASS"

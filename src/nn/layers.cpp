@@ -47,12 +47,6 @@ void Conv2d::prepack_forward(Precision precision) {
                                                   cout, ckk, precision);
 }
 
-void Conv2d::prepack_forward_choose(const PrepackChooser& chooser) {
-  const Tensor& w = weight_.value();
-  const int64_t cout = w.size(0);
-  prepack_forward(chooser(false, cout, w.numel() / cout));
-}
-
 ConvTranspose2d::ConvTranspose2d(int64_t in_channels, int64_t out_channels,
                                  int64_t kernel, int64_t stride,
                                  int64_t padding, std::mt19937& rng, bool bias)
@@ -85,12 +79,6 @@ void ConvTranspose2d::prepack_forward(Precision precision) {
   const int64_t ckk = w.numel() / cin;
   prepack_ = std::make_shared<const PackedWeight>(GemmLayout::kTN, w.data(),
                                                   ckk, cin, precision);
-}
-
-void ConvTranspose2d::prepack_forward_choose(const PrepackChooser& chooser) {
-  const Tensor& w = weight_.value();
-  const int64_t cin = w.size(0);
-  prepack_forward(chooser(true, w.numel() / cin, cin));
 }
 
 BatchNorm2d::BatchNorm2d(int64_t channels, float momentum, float eps)

@@ -21,7 +21,6 @@ class Conv2d : public Module {
   /// Packs the weight into the GEMM panel layout; forward() uses the pack
   /// whenever gradients are disabled.
   void prepack_forward(litho::Precision precision) override;
-  void prepack_forward_choose(const PrepackChooser& chooser) override;
 
   int64_t stride() const { return stride_; }
   int64_t padding() const { return padding_; }
@@ -44,7 +43,6 @@ class ConvTranspose2d : public Module {
   ag::Variable forward(const ag::Variable& x) const;
 
   void prepack_forward(litho::Precision precision) override;
-  void prepack_forward_choose(const PrepackChooser& chooser) override;
 
  private:
   ag::Variable weight_;

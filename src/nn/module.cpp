@@ -68,10 +68,6 @@ void Module::prepack_forward(litho::Precision precision) {
   for (auto& [name, child] : children_) child->prepack_forward(precision);
 }
 
-void Module::prepack_forward_choose(const PrepackChooser& chooser) {
-  for (auto& [name, child] : children_) child->prepack_forward_choose(chooser);
-}
-
 void Module::zero_grad() {
   for (ag::Variable& p : parameters()) p.zero_grad();
 }

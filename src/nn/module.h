@@ -4,7 +4,6 @@
 // the DOINN/UNet/DAMO models are assembled.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <random>
@@ -45,24 +44,13 @@ class Module {
   void set_training(bool training);
   bool training() const { return training_; }
 
-  /// Packs forward-pass weights into the GEMM engine's panel layout (at the
-  /// given precision) for inference, recursing into children. Layers with a
-  /// packable forward (Conv2d, ConvTranspose2d) override this; the packed
-  /// panels are consulted only while gradients are disabled, so training
-  /// paths never see them. Call again after mutating weights — packs are
-  /// snapshots, not views.
+  /// Packs forward-pass weights into the GEMM engine's panel layout for
+  /// inference, recursing into children; every packable layer gets the one
+  /// given precision. Layers with a packable forward (Conv2d,
+  /// ConvTranspose2d) override this; the packed panels are consulted only
+  /// while gradients are disabled, so training paths never see them. Call
+  /// again after mutating weights — packs are snapshots, not views.
   virtual void prepack_forward(litho::Precision precision);
-
-  /// Per-layer storage-precision decision for prepack_forward: called once
-  /// per packable layer with its packed GEMM extents (@p transposed marks
-  /// ConvTranspose2d, @p m / @p k the logical extents after transposition)
-  /// and must return the precision to pack that layer at. The graph
-  /// executor's autotuner supplies a chooser backed by per-shape fp32 vs
-  /// int8 benchmarks (runtime::tuned_conv_precision), so an int8 engine can
-  /// keep shapes where quantization doesn't pay in fp32.
-  using PrepackChooser =
-      std::function<litho::Precision(bool transposed, int64_t m, int64_t k)>;
-  virtual void prepack_forward_choose(const PrepackChooser& chooser);
 
   /// Zeroes gradients of all parameters.
   void zero_grad();

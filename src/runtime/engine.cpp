@@ -3,7 +3,6 @@
 #include <cstring>
 #include <initializer_list>
 #include <stdexcept>
-#include <tuple>
 
 #include "autograd/grad_mode.h"
 #include "runtime/alloc_hooks.h"
@@ -64,89 +63,47 @@ Tensor replay(GraphExecutor& exec,
   return out;
 }
 
+// Switches @p model to eval and packs every conv weight once into the GEMM
+// panel layout at @p precision, so the serving hot path never rebuilds
+// panels per call.
+std::shared_ptr<core::Doinn> prepared(std::shared_ptr<core::Doinn> model,
+                                      litho::Precision precision) {
+  model->set_training(false);
+  model->prepack_forward(precision);
+  return model;
+}
+
+std::shared_ptr<core::Doinn> fresh_model(const core::DoinnConfig& cfg,
+                                         uint32_t seed) {
+  std::mt19937 rng(seed);
+  return std::make_shared<core::Doinn>(cfg, rng);
+}
+
 }  // namespace
 
 InferenceEngine::InferenceEngine(const std::string& checkpoint_path,
                                  EngineOptions opts)
-    : model_(core::load_doinn(checkpoint_path)),
-      large_(std::make_unique<core::LargeTilePredictor>(*model_)),
-      pool_(make_pool(opts)),
-      precision_(opts.precision),
-      opts_(opts) {
-  model_->set_training(false);
-  // One walk over the model at load: every conv weight is packed into the
-  // GEMM panel layout (at the requested precision) so the serving hot path
-  // never rebuilds panels per call.
-  model_->prepack_forward(precision_);
-  init_graph_executor(/*owns_model_prepack=*/true);
-}
+    : InferenceEngine(prepared(core::load_doinn(checkpoint_path),
+                               opts.precision),
+                      opts) {}
 
 InferenceEngine::InferenceEngine(core::DoinnConfig cfg, uint32_t seed,
                                  EngineOptions opts)
-    : pool_(make_pool(opts)), precision_(opts.precision), opts_(opts) {
-  std::mt19937 rng(seed);
-  model_ = std::make_shared<core::Doinn>(cfg, rng);
-  large_ = std::make_unique<core::LargeTilePredictor>(*model_);
-  model_->set_training(false);
-  model_->prepack_forward(precision_);
-  init_graph_executor(/*owns_model_prepack=*/true);
-}
+    : InferenceEngine(prepared(fresh_model(cfg, seed), opts.precision),
+                      opts) {}
 
 InferenceEngine::InferenceEngine(std::shared_ptr<core::Doinn> model,
                                  EngineOptions opts)
     : model_(std::move(model)),
       large_(std::make_unique<core::LargeTilePredictor>(*model_)),
       pool_(make_pool(opts)),
-      precision_(opts.precision),
       opts_(opts) {
-  // Replica path: the primary engine already switched the shared model to
-  // eval and prepacked its weights at this precision — re-packing here
-  // would both waste the load time and break the N-replicas-1x-weights
-  // contract, so this constructor only builds per-replica state (pool,
-  // plan cache, arenas).
-  init_graph_executor(/*owns_model_prepack=*/false);
-}
-
-void InferenceEngine::init_graph_executor(bool owns_model_prepack) {
+  // The model arrives prepared, by the constructors above or by the
+  // primary replica whose model this is. Re-packing here would both waste
+  // the load time and break the N-replicas-1x-weights contract, so only
+  // per-engine state (pool, plan cache, arenas) is built.
   if (!opts_.use_graph_executor) return;
   const int64_t tile = config().tile;
-
-  if (owns_model_prepack && precision_ == litho::Precision::kInt8 &&
-      opts_.autotune) {
-    // Capture once over the all-int8 packs to enumerate the conv GEMM shapes
-    // this model actually runs, benchmark fp32 vs int8 per shape, and repack
-    // the losers in fp32 before any plan is built. The per-shape decision is
-    // process-cached without a thread-count component, so every engine in a
-    // process lands on the identical mixed-precision model.
-    Tensor example({1, 1, tile, tile});
-    std::shared_ptr<ag::CapturedGraph> g;
-    {
-      ScopedPool scope(pool_.get());
-      g = capture_graph(
-          example, [this](const ag::Variable& v) { return model_->forward(v); });
-    }
-    std::map<std::tuple<bool, int64_t, int64_t>, litho::Precision> decided;
-    for (const ag::CaptureNode& node : g->nodes) {
-      if (!node.conv.valid) continue;
-      const litho::Precision p = tuned_conv_precision(
-          node.conv.transposed, node.conv.m, node.conv.k, node.conv.l);
-      const auto key =
-          std::make_tuple(node.conv.transposed, node.conv.m, node.conv.k);
-      auto it = decided.find(key);
-      if (it == decided.end()) {
-        decided.emplace(key, p);
-      } else if (p == litho::Precision::kFp32) {
-        // A layer packs once but may serve several column extents; keep it
-        // fp32 unless int8 pays everywhere it appears.
-        it->second = litho::Precision::kFp32;
-      }
-    }
-    model_->prepack_forward_choose(
-        [&decided](bool transposed, int64_t m, int64_t k) {
-          const auto it = decided.find(std::make_tuple(transposed, m, k));
-          return it != decided.end() ? it->second : litho::Precision::kInt8;
-        });
-  }
 
   // The serving shape is known now; build its plan at load instead of on the
   // first request.

@@ -25,11 +25,9 @@ struct EngineOptions {
   /// (DOINN_NUM_THREADS env var, else hardware concurrency).
   int num_threads = 0;
   /// Inference storage precision (tensor/prepack.h). kFp32 keeps the engine
-  /// bitwise identical to the per-call-packing path; kInt8 trades
-  /// accuracy for speed with its own determinism guarantee. With autotune
-  /// on, a kInt8 engine times fp32 vs int8 per conv GEMM shape and packs
-  /// the shapes where quantization doesn't pay in fp32; with autotune off
-  /// every conv is packed int8.
+  /// bitwise identical to the per-call-packing path; kInt8 packs every conv
+  /// int8, trading accuracy for speed with its own determinism guarantee.
+  /// No other option changes which convs run int8.
   litho::Precision precision = litho::Precision::kFp32;
   /// Compile forwards into the static graph executor (per-shape capture,
   /// arena-planned buffers, fused GEMM epilogues); every plan is validated
@@ -40,7 +38,8 @@ struct EngineOptions {
   /// Benchmark per-shape kernel knobs (GEMM column-block width, packed-B
   /// feed) when building tile and GP plans (the large LP+IR plan is built
   /// on a request and never tuned); knobs are bitwise-neutral, so this
-  /// trades load time for steady-state speed only.
+  /// trades load time for steady-state speed only and never changes an
+  /// output bit.
   bool autotune = true;
 };
 
@@ -59,11 +58,11 @@ class InferenceEngine {
                   EngineOptions opts = {});
 
   /// Replica constructor: an engine over a model another engine already
-  /// owns. @p model must be in eval mode with weights prepacked at
-  /// opts.precision (the primary replica's checkpoint constructor does
-  /// both, including the int8 per-shape repack); this constructor never
-  /// touches the model, so every replica reads the same immutable weight
-  /// tensors and PackedWeight panels — N replicas cost ~1x weight memory.
+  /// owns. @p model must be in eval mode with every conv prepacked at
+  /// opts.precision (the primary's constructor does both); this constructor
+  /// never touches the model, so every replica reads the same immutable
+  /// weight tensors and PackedWeight panels — the primary's bits at ~1x
+  /// weight memory for N replicas.
   /// Each replica still owns its thread pool, plan cache, and arenas;
   /// concurrent predictions across replicas are safe because the shared
   /// state is read-only after construction (runtime::EnginePool drives one
@@ -79,7 +78,7 @@ class InferenceEngine {
   /// The engine-owned pool every prediction's parallel kernels run on.
   ThreadPool& pool() { return *pool_; }
   /// The inference storage precision this engine was built with.
-  litho::Precision precision() const { return precision_; }
+  litho::Precision precision() const { return opts_.precision; }
 
   /// Binarized contours for training-tile-sized masks (each [tile, tile]).
   /// The masks are stacked into one [N,1,H,W] batch and pushed through a
@@ -129,7 +128,6 @@ class InferenceEngine {
   // (96 MB at this cap).
   static constexpr int64_t kMaxLargePlanPixels = int64_t{1024} * 1024;
 
-  void init_graph_executor(bool owns_model_prepack);
   Plan& plan_for(PlanKind kind, int64_t n, int64_t h, int64_t w);
   // Stitched LP + IR pass over @p x ([1,1,H,W]) and its stitched GP
   // features @p gp: capture, first-replay validation or replay of the large
@@ -142,7 +140,6 @@ class InferenceEngine {
   std::shared_ptr<core::Doinn> model_;
   std::unique_ptr<core::LargeTilePredictor> large_;
   std::unique_ptr<ThreadPool> pool_;
-  litho::Precision precision_ = litho::Precision::kFp32;
   EngineOptions opts_;
   // Guards the plan tables and counters below, held across plan builds and
   // the whole large LP + IR pass: an engine has one calling thread, and its

@@ -119,7 +119,7 @@ EnginePool::EnginePool(const std::vector<ModelSpec>& specs,
       Replica replica;
       if (r == 0) {
         // Primary replica: loads the checkpoint, flips the model to eval,
-        // and prepacks the weights (including the int8 per-shape repack).
+        // and prepacks every conv at the model's precision.
         replica.engine =
             std::make_unique<InferenceEngine>(spec.checkpoint, eng_opts);
       } else {

@@ -13,7 +13,6 @@
 #include "autograd/grad_mode.h"
 #include "runtime/trace.h"
 #include "tensor/gemm.h"
-#include "tensor/prepack.h"
 
 namespace litho::runtime {
 
@@ -471,80 +470,6 @@ void GraphExecutor::autotune(int64_t budget_ms) {
   }
 
   release(std::move(ctx));
-}
-
-// -- Per-shape precision decision ---------------------------------------------
-
-namespace {
-std::mutex prec_mutex;
-std::map<std::tuple<bool, int64_t, int64_t, int64_t>, Precision>&
-prec_cache() {
-  static std::map<std::tuple<bool, int64_t, int64_t, int64_t>, Precision>
-      cache;
-  return cache;
-}
-}  // namespace
-
-Precision tuned_conv_precision(bool transposed, int64_t m, int64_t k,
-                               int64_t l) {
-  const auto key = std::make_tuple(transposed, m, k, l);
-  {
-    std::lock_guard<std::mutex> lock(prec_mutex);
-    auto it = prec_cache().find(key);
-    if (it != prec_cache().end()) return it->second;
-  }
-
-  // Synthetic GEMM of the node's exact shape; the packs are built outside
-  // the timed region (prepacking is load-time work either way).
-  std::vector<float> w(static_cast<size_t>(m * k));
-  std::vector<float> b(static_cast<size_t>(k * l));
-  std::vector<float> c(static_cast<size_t>(m * l));
-  uint32_t lcg = 0x5eed1234u;
-  auto next = [&lcg] {
-    lcg = lcg * 1664525u + 1013904223u;
-    return (static_cast<float>((lcg >> 9) & 0x3ff) - 512.f) / 256.f;
-  };
-  for (float& v : w) v = next();
-  for (float& v : b) v = next();
-
-  const PackedWeight wp32(GemmLayout::kNN, w.data(), m, k, Precision::kFp32);
-  const PackedWeight wp8(GemmLayout::kNN, w.data(), m, k, Precision::kInt8);
-  const StridedBPacker bp(b.data(), l, false);
-  const int64_t blocks = gemm_col_blocks(l);
-
-  const double t32 = best_of(3, [&] {
-    for (int64_t blk = 0; blk < blocks; ++blk) {
-      gemm_col_block(wp32.fp32_view(), bp, l, blk, c.data());
-    }
-  });
-
-  const float bmax = max_abs(b.data(), k * l);
-  const float inv_b = bmax > 0.f ? 127.f / bmax : 0.f;
-  std::vector<float> combined(static_cast<size_t>(m));
-  for (int64_t i = 0; i < m; ++i) {
-    combined[static_cast<size_t>(i)] = wp8.row_scales()[i] * (bmax / 127.f);
-  }
-  const double t8 = best_of(3, [&] {
-    for (int64_t blk = 0; blk < blocks; ++blk) {
-      gemm_col_block_i8(wp8, bp, inv_b, combined.data(), l, blk, c.data(),
-                        nullptr);
-    }
-  });
-
-  // Int8 must earn its quantization error: require a clear (>5%) speed win
-  // for this shape, otherwise the conv stays fp32.
-  const Precision pick =
-      t8 < t32 * 0.95 ? Precision::kInt8 : Precision::kFp32;
-  std::lock_guard<std::mutex> lock(prec_mutex);
-  const auto [it, inserted] = prec_cache().emplace(key, pick);
-  if (inserted) {  // first decision wins; a racing duplicate is not traced
-    // Three int args is the trace cap, so the layout rides in the string
-    // arg's key: {"conv"|"convT": "fp32"|"int8"}.
-    trace::emit_instant("exec.precision.choice", "exec",
-                        {{"m", m}, {"k", k}, {"l", l}},
-                        transposed ? "convT" : "conv", precision_name(pick));
-  }
-  return it->second;
 }
 
 }  // namespace litho::runtime

@@ -159,15 +159,4 @@ class GraphExecutor {
   std::vector<std::unique_ptr<ExecContext>> pool_;
 };
 
-/// Process-wide per-shape precision decision for prepacked conv GEMMs
-/// (ROADMAP prepacking follow-up): times an fp32 vs an int8 synthetic GEMM
-/// of the given shape and returns the faster precision. Decisions are
-/// cached by (transposed, m, k, l) with no thread-count component, so every
-/// engine in a process — whatever its pool width — chooses identically and
-/// cross-thread-count bitwise determinism is preserved. Each decision is
-/// traced once as an `exec.precision.choice` instant: args m, k, l plus
-/// the pick under the key "conv" or "convT" (transposed).
-litho::Precision tuned_conv_precision(bool transposed, int64_t m, int64_t k,
-                                      int64_t l);
-
 }  // namespace litho::runtime

@@ -71,8 +71,10 @@ runtime::EngineOptions engine_opts(Precision prec, int threads,
 
 // The tentpole contract: for every precision mode, the compiled executor
 // path produces bitwise identical contours to the op walk, across thread
-// counts and across batch compositions. Engines share one process, so the
-// autotune / int8-decision caches apply identically to all of them.
+// counts and across batch compositions. Every int8 engine here, op walk or
+// executor, packs every conv int8, so the int8 pass compares all-int8
+// against all-int8; the kernel-knob autotune cache is process-wide and
+// bitwise-neutral.
 TEST(GraphExec, BitwiseParityAcrossPrecisionsThreadsAndBatches) {
   const core::DoinnConfig cfg = tiny_config();
   const std::vector<Tensor> masks = {random_mask(64, 1), random_mask(64, 2),

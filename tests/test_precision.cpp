@@ -4,19 +4,24 @@
 // cross-thread-count bitwise-determinism contract, the int8 micro kernels
 // of every runnable tier must agree with the baseline tier, and int8
 // inference on a trained checkpoint must stay within a contour-accuracy
-// bound of fp32.
+// bound of fp32. An int8 engine packs every conv int8 in every
+// configuration, so autotune (kernel knobs only) never changes its bits.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/doinn.h"
 #include "core/metrics.h"
 #include "core/trainer.h"
 #include "runtime/engine.h"
+#include "runtime/graph_exec.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_kernels.h"
 #include "tensor/prepack.h"
@@ -38,6 +43,12 @@ Tensor random_mask(int64_t side, uint32_t seed) {
   Tensor mask = Tensor::rand({side, side}, rng);
   mask.apply_([](float v) { return v >= 0.6f ? 1.f : 0.f; });
   return mask;
+}
+
+bool bytes_equal(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(float) * static_cast<size_t>(a.numel())) == 0;
 }
 
 // -- Precision flag -----------------------------------------------------------
@@ -284,6 +295,76 @@ TEST(Prepack, EveryPrecisionBitwiseEqualAcrossThreadCountsAndBatchSplit) {
   }
 }
 
+// An int8 engine packs every conv int8 whatever else is configured: with
+// autotune on or off, and in a replica over the primary's shared model.
+// Autotune picks bitwise-neutral kernel knobs only, so contours (tile batch
+// and every step of the compiled large path) agree byte for byte.
+TEST(Prepack, Int8EnginePacksEveryConvInt8WithAutotuneOnOrOff) {
+  const core::DoinnConfig cfg = tiny_config();
+  auto rng = test::rng(61);
+  core::Doinn model(cfg, rng);
+  const std::string path = "test_precision_int8_ckpt.bin";
+  core::save_doinn(path, model);
+  runtime::EngineOptions tuned_opts;
+  tuned_opts.num_threads = 2;
+  tuned_opts.precision = Precision::kInt8;
+  tuned_opts.autotune = true;
+  runtime::EngineOptions untuned_opts = tuned_opts;
+  untuned_opts.autotune = false;
+  runtime::InferenceEngine tuned(path, tuned_opts);
+  runtime::InferenceEngine untuned(path, untuned_opts);
+  std::remove(path.c_str());
+  runtime::InferenceEngine replica(tuned.shared_model(), tuned_opts);
+
+  std::vector<Tensor> masks;
+  for (uint32_t s = 70; s < 74; ++s) masks.push_back(random_mask(cfg.tile, s));
+  Tensor example({1, 1, cfg.tile, cfg.tile});
+  std::copy(masks[0].data(), masks[0].data() + masks[0].numel(),
+            example.data());
+
+  // The capture is an op walk, so its result also pins the raw logits.
+  Tensor want_logits;
+  for (runtime::InferenceEngine* eng : {&untuned, &tuned, &replica}) {
+    const std::shared_ptr<core::Doinn> m = eng->shared_model();
+    Tensor logits;
+    std::shared_ptr<ag::CapturedGraph> g = runtime::capture_graph(
+        {example},
+        [&m](const std::vector<ag::Variable>& v) { return m->forward(v[0]); },
+        &logits);
+    int convs = 0;
+    for (const ag::CaptureNode& node : g->nodes) {
+      if (!node.conv.valid) continue;
+      ++convs;
+      EXPECT_EQ(node.conv.prec, Precision::kInt8)
+          << node.kind << " m " << node.conv.m << " k " << node.conv.k
+          << " l " << node.conv.l;
+    }
+    EXPECT_GT(convs, 0);
+    if (eng == &untuned) want_logits = logits;
+    EXPECT_TRUE(bytes_equal(want_logits, logits));
+  }
+
+  const std::vector<Tensor> ref = untuned.predict_batch(masks);
+  const std::vector<Tensor> got = tuned.predict_batch(masks);
+  const std::vector<Tensor> got_replica = replica.predict_batch(masks);
+  ASSERT_EQ(ref.size(), masks.size());
+  for (size_t i = 0; i < masks.size(); ++i) {
+    EXPECT_TRUE(bytes_equal(ref[i], got[i])) << "tile mask " << i;
+    EXPECT_TRUE(bytes_equal(ref[i], got_replica[i]))
+        << "replica tile mask " << i;
+  }
+
+  // Capture, validated replay, then plain replay of the large LP+IR plan.
+  const Tensor large = random_mask(2 * cfg.tile, 75);
+  for (int call = 0; call < 3; ++call) {
+    const Tensor want = untuned.predict(large);
+    EXPECT_TRUE(bytes_equal(want, tuned.predict(large)))
+        << "large call " << call;
+    EXPECT_TRUE(bytes_equal(want, replica.predict(large)))
+        << "replica large call " << call;
+  }
+}
+
 // -- Contour accuracy of int8 on a trained checkpoint -------------------------
 
 TEST(Prepack, ReducedPrecisionContourAccuracyOnTrainedCheckpoint) {
@@ -321,6 +402,8 @@ TEST(Prepack, ReducedPrecisionContourAccuracyOnTrainedCheckpoint) {
     ASSERT_GT(ref.sum(), 0.f);  // trained model prints something
     int8_m.push_back(core::evaluate_contours(int8.predict(mask), ref));
   }
+  // The int8 engine packs every conv int8 (autotune is on here and picks
+  // kernel knobs only), so this compares an all-int8 model against fp32.
   // Int8 may only move contour pixels near the print threshold: the
   // binarized outputs must stay nearly coincident with the fp32 engine's.
   EXPECT_GT(core::average(int8_m).miou, 0.85);
