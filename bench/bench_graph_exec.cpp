@@ -13,7 +13,7 @@
 //   - the steady-state replay window performs zero heap allocations (this
 //     binary links the counting operator new from bench/alloc_count_new.cpp,
 //     observed through the engine.heap_allocs_per_batch gauge);
-//   - no shape fell back to the op walk (plan validation passed);
+//   - no plan fell back to the op walk (plan validation passed);
 //   - executor speedup >= 1.15x on the batched tile forward (--quick keeps
 //     the same floor on the smaller model; headroom is ~2x).
 //
@@ -210,9 +210,9 @@ int main(int argc, char** argv) {
   }
   const Tensor large_mask = random_mask(tile * 3 / 2, 7);  // 2x2 clip grid
 
-  // Traced warmups: builds the batch-8 plan and replays it once. The large
-  // mask's first call is the LP+IR capture (an op walk), its second the
-  // replay validated against the op walk.
+  // Traced warmups: one batch of 8, each sample a replay of the tile plan
+  // built at load. The large mask's first call is the LP+IR capture (an op
+  // walk), its second the replay validated against the op walk.
   const std::vector<Tensor> exec_batch = exec.predict_batch(masks);
   for (int i = 0; i < 2; ++i) exec.predict(large_mask);
   runtime::trace::set_enabled(false);

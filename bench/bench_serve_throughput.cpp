@@ -16,8 +16,7 @@
 //
 // Both modes process the same masks; the benchmark verifies the scheduled
 // results are bitwise identical to the serial ones before timing counts.
-// The engine's plans for every batch size 1..8 are built before the first
-// pass, and each in-process pass reports the median of 5 repeats.
+// Each in-process pass reports the median of 5 repeats.
 //
 // Pass/fail: in full mode with >= 4 hardware threads the batched forward
 // amortizes across the pool and scheduled throughput must be >= 2x serial.
@@ -192,12 +191,6 @@ int main(int argc, char** argv) {
   }
 
   runtime::InferenceEngine engine(cfg, /*seed=*/42, runtime::EngineOptions{});
-  // Warm the plan cache (one plan per batch size the scheduler can
-  // dispatch) and the workspace pools, so no pass below times a plan build.
-  for (size_t b = 1; b <= static_cast<size_t>(kConcurrency); ++b) {
-    (void)engine.predict_batch(
-        std::vector<Tensor>(masks.begin(), masks.begin() + b));
-  }
 
   // -- serial: one forward per request, clients call the engine directly.
   std::vector<Tensor> serial_results(requests);
@@ -294,18 +287,6 @@ int main(int argc, char** argv) {
     pool_opts.scheduler.adaptive_delay = true;
     runtime::EnginePool pool({spec}, pool_opts);
     std::remove(checkpoint.c_str());
-    // Warm the replica's plans with a burst of every batch size, as the
-    // in-process passes warmed the shared engine before their timing.
-    for (size_t burst = 1; burst <= static_cast<size_t>(kConcurrency);
-         ++burst) {
-      std::vector<std::future<Tensor>> warm;
-      for (size_t i = 0; i < burst; ++i) {
-        if (auto f = pool.try_submit("", masks[i], i + 1)) {
-          warm.push_back(std::move(*f));
-        }
-      }
-      for (auto& f : warm) (void)f.get();
-    }
     net::Server server(pool, net::ServerOptions{});
     std::thread loop([&] { server.run(); });
 

@@ -31,8 +31,8 @@ class LargeTilePredictor {
   /// implementations must copy, not alias) and must return the clip's
   /// [1, gp_channels, tile/pool, tile/pool] feature map, bitwise identical
   /// to model.gp_features on the same clip. The inference engine installs an
-  /// executor-backed fn here so the clip fan-out replays the per-shape
-  /// compiled plan instead of re-walking the op graph clip by clip.
+  /// executor-backed fn here so the clip fan-out replays its compiled GP
+  /// plan instead of re-walking the op graph clip by clip.
   using GpClipFn = std::function<Tensor(const Tensor& clip)>;
   void set_gp_clip_fn(GpClipFn fn) { gp_clip_fn_ = std::move(fn); }
 

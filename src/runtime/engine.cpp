@@ -19,9 +19,9 @@ std::unique_ptr<ThreadPool> make_pool(const EngineOptions& opts) {
                            : ThreadPool::default_num_threads());
 }
 
-Tensor binarize(Tensor t) {
-  t.apply_([](float v) { return v >= 0.f ? 1.f : 0.f; });
-  return t;
+void binarize(Tensor& t) {
+  float* p = t.data();
+  for (int64_t i = 0; i < t.numel(); ++i) p[i] = p[i] >= 0.f ? 1.f : 0.f;
 }
 
 // Deterministic probe values for plan capture and validation: the same bits
@@ -46,20 +46,25 @@ bool bitwise_equal(const Tensor& a, const Tensor& b) {
                      sizeof(float) * static_cast<size_t>(a.numel())) == 0;
 }
 
-// Copies @p inputs into a pooled context of @p exec, replays, and returns a
-// copy of graph output 0 shaped like its slot.
-Tensor replay(GraphExecutor& exec,
-              std::initializer_list<const Tensor*> inputs) {
+// Copies @p inputs into a pooled context of @p exec, replays, and copies
+// graph output 0 to @p out.
+void replay(GraphExecutor& exec, std::initializer_list<const Tensor*> inputs,
+            float* out) {
   std::unique_ptr<ExecContext> ctx = exec.acquire();
   int i = 0;
   for (const Tensor* t : inputs) {
     std::copy(t->data(), t->data() + t->numel(), ctx->input(i++));
   }
   exec.run(*ctx);
-  Tensor out(exec.graph().slots[exec.graph().outputs[0]].shape);
-  std::copy(ctx->output(0), ctx->output(0) + ctx->output_numel(0),
-            out.data());
+  std::copy(ctx->output(0), ctx->output(0) + ctx->output_numel(0), out);
   exec.release(std::move(ctx));
+}
+
+// As above, into a new tensor shaped like graph output 0's slot.
+Tensor replay(GraphExecutor& exec,
+              std::initializer_list<const Tensor*> inputs) {
+  Tensor out(exec.graph().slots[exec.graph().outputs[0]].shape);
+  replay(exec, inputs, out.data());
   return out;
 }
 
@@ -101,70 +106,54 @@ InferenceEngine::InferenceEngine(std::shared_ptr<core::Doinn> model,
   // The model arrives prepared, by the constructors above or by the
   // primary replica whose model this is. Re-packing here would both waste
   // the load time and break the N-replicas-1x-weights contract, so only
-  // per-engine state (pool, plan cache, arenas) is built.
+  // per-engine state (pool, plans, arenas) is built.
   if (!opts_.use_graph_executor) return;
-  const int64_t tile = config().tile;
 
-  // The serving shape is known now; build its plan at load instead of on the
-  // first request.
-  plan_for(kForwardPlan, 1, tile, tile);
-
-  // Route the large-tile clip fan-out through the per-shape plan cache: each
-  // worker replays the compiled GP plan for its clips instead of re-walking
-  // the op graph clip by clip. The clip buffer is reused by the caller, so
-  // the replay copies it into the context's arena up front.
-  large_->set_gp_clip_fn([this](const Tensor& clip) -> Tensor {
-    Plan& p = plan_for(kGpPlan, 1, config().tile, config().tile);
-    if (p.exec == nullptr) {
-      return model_->gp_features(ag::Variable(clip.clone(), false)).value();
-    }
-    return replay(*p.exec, {&clip});
-  });
+  // Both serving plans are known now, so they are built at load and no
+  // request ever pays for a capture: predict_batch replays the tile
+  // plan once per sample, and predict_large's clip fan-out replays the GP
+  // plan once per clip (the clip buffer is reused by the caller, so the
+  // replay copies it into the context's arena up front).
+  tile_plan_ = build_tile_plan(
+      [this](const ag::Variable& v) { return model_->forward(v); });
+  gp_plan_ = build_tile_plan(
+      [this](const ag::Variable& v) { return model_->gp_features(v); });
+  if (gp_plan_ != nullptr) {
+    large_->set_gp_clip_fn(
+        [this](const Tensor& clip) { return replay(*gp_plan_, {&clip}); });
+  }
+  set_arena_gauge();
 }
 
-InferenceEngine::Plan& InferenceEngine::plan_for(PlanKind kind, int64_t n,
-                                                 int64_t h, int64_t w) {
-  const PlanKey key{kind, n, h, w};
-  std::lock_guard<std::mutex> lock(plan_mutex_);
-  auto it = plans_.find(key);
-  if (it != plans_.end()) return *it->second;
-
-  auto plan = std::make_unique<Plan>();
-  if (opts_.use_graph_executor) {
-    auto fwd = [this, kind](const ag::Variable& v) {
-      return kind == kGpPlan ? model_->gp_features(v) : model_->forward(v);
-    };
-    Tensor probe({n, 1, h, w});
-    fill_probe(probe, kCaptureProbeSeed);
-    Tensor check({n, 1, h, w});
-    fill_probe(check, kValidateProbeSeed);
-    try {
-      ScopedPool scope(pool_.get());
-      std::shared_ptr<ag::CapturedGraph> graph = capture_graph(probe, fwd);
-      // A frozen non-parameter constant is an uninstrumented op's output on
-      // the probe: fall back without building.
-      if (froze_only_parameters(*graph)) {
-        ExecutorOptions eo;
-        eo.autotune = opts_.autotune;
-        auto exec = std::make_unique<GraphExecutor>(std::move(graph), eo);
-        // Validate the plan bitwise against the op walk before trusting it.
-        Tensor ref;
-        {
-          ag::NoGradGuard no_grad;
-          ref = fwd(ag::Variable(check.clone(), false)).value();
-        }
-        if (bitwise_equal(replay(*exec, {&check}), ref)) {
-          arena_bytes_total_ += exec->arena_bytes();
-          plan->exec = std::move(exec);
-          set_arena_gauge();
-        }
+std::unique_ptr<GraphExecutor> InferenceEngine::build_tile_plan(
+    const std::function<ag::Variable(const ag::Variable&)>& fwd) {
+  const int64_t tile = config().tile;
+  Tensor probe({1, 1, tile, tile});
+  fill_probe(probe, kCaptureProbeSeed);
+  Tensor check({1, 1, tile, tile});
+  fill_probe(check, kValidateProbeSeed);
+  try {
+    ScopedPool scope(pool_.get());
+    std::shared_ptr<ag::CapturedGraph> graph = capture_graph(probe, fwd);
+    // A frozen non-parameter constant is an uninstrumented op's output on
+    // the probe: fall back without building.
+    if (froze_only_parameters(*graph)) {
+      ExecutorOptions eo;
+      eo.autotune = opts_.autotune;
+      auto exec = std::make_unique<GraphExecutor>(std::move(graph), eo);
+      // Validate the plan bitwise against the op walk before trusting it.
+      Tensor ref;
+      {
+        ag::NoGradGuard no_grad;
+        ref = fwd(ag::Variable(check.clone(), false)).value();
       }
-    } catch (const std::exception&) {
-      plan->exec.reset();
+      if (bitwise_equal(replay(*exec, {&check}), ref)) return exec;
     }
-    if (plan->exec == nullptr) count_fallback();
+  } catch (const std::exception&) {
+    // Counted as a fallback below.
   }
-  return *plans_.emplace(key, std::move(plan)).first->second;
+  count_fallback();
+  return nullptr;
 }
 
 void InferenceEngine::count_fallback() {
@@ -173,14 +162,18 @@ void InferenceEngine::count_fallback() {
 }
 
 void InferenceEngine::set_arena_gauge() {
-  MetricsRegistry::global().gauge("engine.arena_bytes").set(
-      arena_bytes_total_ +
-      (large_plan_ != nullptr ? large_plan_->exec->arena_bytes() : 0));
+  int64_t bytes = 0;
+  for (const GraphExecutor* exec :
+       {tile_plan_.get(), gp_plan_.get(),
+        large_plan_ != nullptr ? large_plan_->exec.get() : nullptr}) {
+    if (exec != nullptr) bytes += exec->arena_bytes();
+  }
+  MetricsRegistry::global().gauge("engine.arena_bytes").set(bytes);
 }
 
 int64_t InferenceEngine::plan_count() const {
   std::lock_guard<std::mutex> lock(plan_mutex_);
-  return static_cast<int64_t>(plans_.size()) + large_captures_;
+  return (opts_.use_graph_executor ? 2 : 0) + large_captures_;
 }
 
 int64_t InferenceEngine::plan_fallbacks() const {
@@ -202,58 +195,40 @@ std::vector<Tensor> InferenceEngine::predict_batch(
     }
   }
 
-  if (opts_.use_graph_executor) {
-    Plan& p = plan_for(kForwardPlan, n, h, w);
-    if (p.exec != nullptr) {
-      std::unique_ptr<ExecContext> ctx = p.exec->acquire();
-      for (int64_t i = 0; i < n; ++i) {
-        const Tensor& m = masks[static_cast<size_t>(i)];
-        std::copy(m.data(), m.data() + h * w, ctx->input(0) + i * h * w);
+  std::vector<Tensor> contours;
+  contours.reserve(masks.size());
+  for (int64_t i = 0; i < n; ++i) contours.emplace_back(Shape{h, w});
+  GraphExecutor* plan =
+      h == config().tile && w == config().tile ? tile_plan_.get() : nullptr;
+  // One lane's samples, each replayed (or walked) as a batch of one straight
+  // into its preallocated contour.
+  auto forward = [&](int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) {
+      const Tensor& m = masks[static_cast<size_t>(i)];
+      Tensor& c = contours[static_cast<size_t>(i)];
+      if (plan != nullptr) {
+        replay(*plan, {&m}, c.data());
+      } else {
+        const ag::Variable x(m.clone().reshape({1, 1, h, w}), false);
+        const Tensor y = model_->forward(x).value();
+        std::copy(y.data(), y.data() + h * w, c.data());
       }
-      {
-        DOINN_TRACE_SCOPE("engine.forward", "engine", "batch_size", n);
-        ScopedPool scope(pool_.get());
-        // Steady-state replays must not touch the heap; the gauge is the
-        // observable for that contract (nonzero only in binaries that link
-        // the counting operator new — bench_graph_exec, test_graph_exec).
-        static Gauge& allocs_gauge =
-            MetricsRegistry::global().gauge("engine.heap_allocs_per_batch");
-        const int64_t allocs_before = heap_alloc_count();
-        p.exec->run(*ctx);
-        allocs_gauge.set(heap_alloc_count() - allocs_before);
-      }
-      std::vector<Tensor> contours;
-      contours.reserve(masks.size());
-      const float* out = ctx->output(0);
-      for (int64_t i = 0; i < n; ++i) {
-        Tensor c({h, w});
-        std::copy(out + i * h * w, out + (i + 1) * h * w, c.data());
-        contours.push_back(binarize(std::move(c)));
-      }
-      p.exec->release(std::move(ctx));
-      return contours;
+      binarize(c);
     }
-  }
-
-  Tensor x({n, 1, h, w});
-  for (int64_t i = 0; i < n; ++i) {
-    const Tensor& m = masks[static_cast<size_t>(i)];
-    std::copy(m.data(), m.data() + h * w, x.data() + i * h * w);
-  }
+  };
 
   ag::NoGradGuard no_grad;
   ScopedPool scope(pool_.get());
-  ag::Variable out = [&] {
-    DOINN_TRACE_SCOPE("engine.forward", "engine", "batch_size", n);
-    return model_->forward(ag::Variable(std::move(x), false));
-  }();
-  std::vector<Tensor> contours;
-  contours.reserve(masks.size());
-  for (int64_t i = 0; i < n; ++i) {
-    Tensor c({h, w});
-    std::copy(out.value().data() + i * h * w,
-              out.value().data() + (i + 1) * h * w, c.data());
-    contours.push_back(binarize(std::move(c)));
+  DOINN_TRACE_SCOPE("engine.forward", "engine", "batch_size", n);
+  const int64_t allocs_before = heap_alloc_count();
+  pool_->parallel_for(n, forward);
+  // Steady-state replays must not touch the heap; the gauge is the
+  // observable for that contract (nonzero only in binaries that link the
+  // counting operator new — bench_graph_exec, test_graph_exec).
+  if (plan != nullptr) {
+    static Gauge& allocs_gauge =
+        MetricsRegistry::global().gauge("engine.heap_allocs_per_batch");
+    allocs_gauge.set(heap_alloc_count() - allocs_before);
   }
   return contours;
 }
@@ -261,17 +236,13 @@ std::vector<Tensor> InferenceEngine::predict_batch(
 Tensor InferenceEngine::predict_large(const Tensor& mask) {
   DOINN_TRACE_SCOPE("engine.predict_large", "engine", "h", mask.size(0), "w",
                     mask.size(1));
-  if (opts_.use_graph_executor) {
-    // Build (and validate) the GP clip plan on this thread before the clip
-    // fan-out so workers replay a ready plan instead of racing to build it.
-    plan_for(kGpPlan, 1, config().tile, config().tile);
-  }
   ag::NoGradGuard no_grad;
   ScopedPool scope(pool_.get());
   const int64_t h = mask.size(0), w = mask.size(1);
   const Tensor gp = large_->stitched_gp(mask, pool_.get()).value();
   Tensor out = large_lp_ir(gp, mask.clone().reshape({1, 1, h, w}));
-  return binarize(out.reshape({h, w}));
+  binarize(out);
+  return out.reshape({h, w});
 }
 
 Tensor InferenceEngine::large_lp_ir(const Tensor& gp, const Tensor& x) {

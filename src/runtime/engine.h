@@ -4,12 +4,11 @@
 // apps/doinn_serve.cpp and the serve-throughput benchmark.
 #pragma once
 
-#include <map>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "core/doinn.h"
@@ -29,11 +28,12 @@ struct EngineOptions {
   /// int8, trading accuracy for speed with its own determinism guarantee.
   /// No other option changes which convs run int8.
   litho::Precision precision = litho::Precision::kFp32;
-  /// Compile forwards into the static graph executor (per-shape capture,
-  /// arena-planned buffers, fused GEMM epilogues); every plan is validated
-  /// bitwise against the op walk once — tile and GP plans at build, the
-  /// large-tile LP+IR plan on its first replay — and the engine falls back
-  /// to the op walk per shape if validation fails. false = always op-walk.
+  /// Compile forwards into the static graph executor (capture,
+  /// arena-planned buffers, fused GEMM epilogues): the batch-1 tile forward
+  /// and GP path at load, the large-tile LP+IR pass on request. Every plan
+  /// is validated bitwise against the op walk once — tile and GP plans at
+  /// load, the large plan on its first replay — and a plan that fails is
+  /// replaced by the op walk. false = always op-walk.
   bool use_graph_executor = true;
   /// Benchmark per-shape kernel knobs (GEMM column-block width, packed-B
   /// feed) when building tile and GP plans (the large LP+IR plan is built
@@ -63,7 +63,7 @@ class InferenceEngine {
   /// never touches the model, so every replica reads the same immutable
   /// weight tensors and PackedWeight panels — the primary's bits at ~1x
   /// weight memory for N replicas.
-  /// Each replica still owns its thread pool, plan cache, and arenas;
+  /// Each replica still owns its thread pool, plans, and arenas;
   /// concurrent predictions across replicas are safe because the shared
   /// state is read-only after construction (runtime::EnginePool drives one
   /// dispatcher thread per replica on top of this).
@@ -80,11 +80,13 @@ class InferenceEngine {
   /// The inference storage precision this engine was built with.
   litho::Precision precision() const { return opts_.precision; }
 
-  /// Binarized contours for training-tile-sized masks (each [tile, tile]).
-  /// The masks are stacked into one [N,1,H,W] batch and pushed through a
-  /// single no-grad forward pass, so the batched conv / FFT kernels
-  /// parallelize across samples. Per-sample results are bitwise identical
-  /// to core::predict_contour.
+  /// Binarized contours for equally shaped 2-D masks, normally [tile, tile]
+  /// (predict routes larger ones to predict_large). Each sample is its own
+  /// batch-1 forward: the samples split into one contiguous chunk per pool
+  /// lane (a single sample runs inline with the kernels parallel inside
+  /// it), and a chunk runs its samples one after another. A [tile, tile]
+  /// mask replays the tile plan, any other shape takes the op walk.
+  /// Per-sample results are bitwise identical to core::predict_contour.
   std::vector<Tensor> predict_batch(const std::vector<Tensor>& masks);
 
   /// Binarized contour for a mask larger than the training tile: the
@@ -102,21 +104,14 @@ class InferenceEngine {
   /// training tile, large-tile scheme above it.
   Tensor predict(const Tensor& mask);
 
-  /// Plans built so far: one per distinct forward kind x input shape, plus
-  /// one per large-tile LP+IR capture (a replaced large plan stays counted).
+  /// Plans built so far: the tile and GP plans built at load (2 with the
+  /// executor on, a fallback still counts), plus one per large-tile LP+IR
+  /// capture (a replaced large plan stays counted).
   int64_t plan_count() const;
-  /// Shapes where executor validation failed and the op walk serves instead.
+  /// Plans whose executor validation failed, so the op walk serves instead.
   int64_t plan_fallbacks() const;
 
  private:
-  // One compiled plan per (forward kind, input shape). exec == nullptr means
-  // the shape runs the op walk (executor disabled, or validation failed).
-  struct Plan {
-    std::unique_ptr<GraphExecutor> exec;
-  };
-  enum PlanKind : int { kForwardPlan = 0, kGpPlan = 1 };
-  using PlanKey = std::tuple<int, int64_t, int64_t, int64_t>;
-
   // The compiled LP+IR pass of the latest large (h, w).
   struct LargePlan {
     int64_t h = 0, w = 0;
@@ -128,28 +123,35 @@ class InferenceEngine {
   // (96 MB at this cap).
   static constexpr int64_t kMaxLargePlanPixels = int64_t{1024} * 1024;
 
-  Plan& plan_for(PlanKind kind, int64_t n, int64_t h, int64_t w);
+  // Captures @p fwd on a [1, 1, tile, tile] probe and validates the plan
+  // bitwise against the op walk on a second probe; nullptr, counted as a
+  // fallback, if either fails. Constructor only.
+  std::unique_ptr<GraphExecutor> build_tile_plan(
+      const std::function<ag::Variable(const ag::Variable&)>& fwd);
   // Stitched LP + IR pass over @p x ([1,1,H,W]) and its stitched GP
   // features @p gp: capture, first-replay validation or replay of the large
   // slot, else the op walk (executor off, mask over kMaxLargePlanPixels, or
   // a shape whose plan failed).
   Tensor large_lp_ir(const Tensor& gp, const Tensor& x);
-  void count_fallback();  // caller holds plan_mutex_
-  void set_arena_gauge();  // caller holds plan_mutex_
+  // Caller holds plan_mutex_ or is the constructor.
+  void count_fallback();
+  void set_arena_gauge();
 
   std::shared_ptr<core::Doinn> model_;
   std::unique_ptr<core::LargeTilePredictor> large_;
   std::unique_ptr<ThreadPool> pool_;
   EngineOptions opts_;
-  // Guards the plan tables and counters below, held across plan builds and
-  // the whole large LP + IR pass: an engine has one calling thread, and its
-  // clip workers only look up the GP plan built before the fan-out.
+  // The batch-1 whole forward and GP path at (tile, tile), built in the
+  // constructor and immutable after it, so replays need no lock. nullptr
+  // means that path runs the op walk (executor off, or validation failed).
+  std::unique_ptr<GraphExecutor> tile_plan_;
+  std::unique_ptr<GraphExecutor> gp_plan_;
+  // Guards the large slot and the counters below, held across the whole
+  // large LP + IR pass.
   mutable std::mutex plan_mutex_;
-  std::map<PlanKey, std::unique_ptr<Plan>> plans_;
   std::unique_ptr<LargePlan> large_plan_;
   std::set<std::pair<int64_t, int64_t>> large_failed_;  // never recompiled
   int64_t large_captures_ = 0;
-  int64_t arena_bytes_total_ = 0;  // tile and GP plans
   int64_t plan_fallbacks_ = 0;
 };
 

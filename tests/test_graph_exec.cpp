@@ -1,9 +1,10 @@
 // Tests for the static inference graph executor (runtime/graph_exec.h) and
 // its engine integration: executor replays must be bitwise identical to the
 // op walk for every precision, thread count and batch composition; arena
-// planning must be aliasing-safe under any allocation order; plans must be
-// cached per shape; and steady-state replays must not touch the heap (this
-// binary links the counting operator new from bench/alloc_count_new.cpp).
+// planning must be aliasing-safe under any allocation order; the engine must
+// build its two plans at load and no more; and steady-state replays must
+// not touch the heap (this binary links the counting operator new from
+// bench/alloc_count_new.cpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -98,8 +99,8 @@ TEST(GraphExec, BitwiseParityAcrossPrecisionsThreadsAndBatches) {
     }
 
     // Batch composition invariance: a sample's contour must not depend on
-    // which batch it arrived in (the executor builds one plan per batch
-    // size, so this crosses plans).
+    // which batch it arrived in (the lanes of a batch split differently at
+    // every batch size and thread count).
     for (size_t i = 0; i < masks.size(); ++i) {
       const Tensor solo = serial.predict_batch({masks[i]}).front();
       EXPECT_TRUE(bitwise_equal(ref[i], solo))
@@ -118,9 +119,9 @@ TEST(GraphExec, PredictLargeMatchesOpWalkAcrossThreadCounts) {
   const Tensor a = random_mask(96, 11);   // 2x2 half-overlap clip grid
   const Tensor b = random_mask(128, 12);  // 3x3 clip grid
   const std::vector<const Tensor*> sequence = {&a, &a, &a, &b, &a};
-  // Plans built by each call: A adds the GP clip plan and its capture,
-  // B and the return to A one capture each.
-  const std::vector<int64_t> new_plans = {2, 0, 0, 1, 1};
+  // Plans built by each call (the GP clip plan is built at load): A, B and
+  // the return to A one capture each.
+  const std::vector<int64_t> new_plans = {1, 0, 0, 1, 1};
   for (Precision prec : {Precision::kFp32, Precision::kInt8}) {
     runtime::EngineOptions walk_opts = engine_opts(prec, 1, false);
     walk_opts.autotune = false;
@@ -165,7 +166,7 @@ TEST(GraphExec, PredictLargeOverPixelCapTakesOpWalk) {
   runtime::EngineOptions opts = engine_opts(Precision::kFp32, 2, true);
   opts.autotune = false;
   runtime::InferenceEngine engine(cfg, 9, opts);
-  engine.predict(a);  // GP clip plan and the capture of `a`
+  engine.predict(a);  // the capture of `a`
   const int64_t plans = engine.plan_count();
   for (int i = 0; i < 2; ++i) {
     EXPECT_TRUE(bitwise_equal(ref_big, engine.predict(big))) << "call " << i;
@@ -262,27 +263,53 @@ TEST(GraphExec, FrozenNonParameterConstantFailsStructuralCheck) {
   EXPECT_FALSE(runtime::froze_only_parameters(*graph));
 }
 
-TEST(GraphExec, PlanCacheBuildsOncePerShapeAndReuses) {
+// The engine builds two plans at load, the batch-1 tile forward and the GP
+// path, and no request builds another: every batch size replays the tile
+// plan once per sample across the pool's lanes, other shapes take the op
+// walk, and a shape the model cannot run throws without counting a plan or
+// a fallback.
+TEST(GraphExec, TwoPlansAtLoadServeEveryBatchAndShape) {
   const core::DoinnConfig cfg = tiny_config();
-  runtime::InferenceEngine engine(cfg, 5,
-                                  engine_opts(Precision::kFp32, 1, true));
-  const int64_t at_load = engine.plan_count();
-  EXPECT_GE(at_load, 1);  // the serving-tile plan is built eagerly
-
-  const Tensor tile_mask = random_mask(64, 21);
-  engine.predict_batch({tile_mask});
-  EXPECT_EQ(engine.plan_count(), at_load);  // reused the eager plan
-
-  engine.predict_batch({tile_mask, tile_mask});
-  const int64_t after_pair = engine.plan_count();
-  EXPECT_EQ(after_pair, at_load + 1);  // new batch size => one new plan
-
-  engine.predict_batch({tile_mask, tile_mask});
-  EXPECT_EQ(engine.plan_count(), after_pair);  // second hit reuses it
-
-  engine.predict_batch({tile_mask, tile_mask, tile_mask});
-  EXPECT_EQ(engine.plan_count(), after_pair + 1);  // new shape => new plan
+  runtime::EngineOptions walk_opts = engine_opts(Precision::kFp32, 1, false);
+  walk_opts.autotune = false;
+  runtime::InferenceEngine walk(cfg, 5, walk_opts);
+  runtime::EngineOptions opts = engine_opts(Precision::kFp32, 3, true);
+  opts.autotune = false;
+  runtime::InferenceEngine engine(cfg, 5, opts);
+  EXPECT_EQ(engine.plan_count(), 2);
   EXPECT_EQ(engine.plan_fallbacks(), 0);
+
+  std::vector<Tensor> masks;
+  for (uint32_t s = 0; s < 5; ++s) masks.push_back(random_mask(64, 21 + s));
+  for (size_t n = 1; n <= masks.size(); ++n) {
+    const std::vector<Tensor> batch(masks.begin(), masks.begin() + n);
+    const std::vector<Tensor> ref = walk.predict_batch(batch);
+    const std::vector<Tensor> got = engine.predict_batch(batch);
+    ASSERT_EQ(got.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(bitwise_equal(ref[i], got[i]))
+          << "batch " << n << " sample " << i;
+    }
+    EXPECT_EQ(engine.plan_count(), 2) << "batch " << n;
+  }
+
+  auto rng = test::rng(26);
+  auto rect_mask = [&rng](int64_t h, int64_t w) {
+    Tensor m = Tensor::rand({h, w}, rng);
+    m.apply_([](float v) { return v >= 0.6f ? 1.f : 0.f; });
+    return m;
+  };
+  const Tensor sub_tile = rect_mask(32, 64);
+  EXPECT_TRUE(bitwise_equal(walk.predict(sub_tile), engine.predict(sub_tile)));
+  EXPECT_EQ(engine.plan_count(), 2);
+
+  for (const Tensor& bad : {rect_mask(16, 16), rect_mask(64, 32)}) {
+    EXPECT_ANY_THROW(engine.predict(bad))
+        << bad.size(0) << "x" << bad.size(1);
+    EXPECT_EQ(engine.plan_count(), 2) << bad.size(0) << "x" << bad.size(1);
+    EXPECT_EQ(engine.plan_fallbacks(), 0)
+        << bad.size(0) << "x" << bad.size(1);
+  }
 }
 
 // -- Arena planning -----------------------------------------------------------
