@@ -14,8 +14,9 @@
 //     binary links the counting operator new from bench/alloc_count_new.cpp,
 //     observed through the engine.heap_allocs_per_batch gauge);
 //   - no plan fell back to the op walk (plan validation passed);
-//   - executor speedup >= 1.15x on the batched tile forward (--quick keeps
-//     the same floor on the smaller model; headroom is ~2x).
+//   - executor speedup >= 1.15x on the batched tile forward, both sides
+//     timed in alternating pairs (--quick keeps the same floor on the
+//     smaller model).
 //
 // Tracing is enabled while the executor engine compiles and for the warmup
 // replays — so a --trace-out file carries the exec.capture / exec.plan /
@@ -62,13 +63,25 @@ void report(const std::string& op, const std::string& shape, double legacy_s,
               shape.c_str(), legacy_s * 1e3, new_s * 1e3, legacy_s / new_s);
 }
 
-template <typename F>
-double best_seconds(int reps, F&& fn) {
-  double best = 1e30;
+// Best-of-@p reps times of @p walk and @p exec, taken in alternating pairs
+// (the order flips every rep) so both sides sample the same host load.
+struct BestPair {
+  double walk = 1e30, exec = 1e30;
+};
+
+template <typename W, typename E>
+BestPair best_pair(int reps, W&& walk, E&& exec) {
+  BestPair b;
   for (int i = 0; i < reps; ++i) {
-    best = std::min(best, litho::bench::seconds(fn));
+    if (i % 2 == 0) {
+      b.walk = std::min(b.walk, litho::bench::seconds(walk));
+      b.exec = std::min(b.exec, litho::bench::seconds(exec));
+    } else {
+      b.exec = std::min(b.exec, litho::bench::seconds(exec));
+      b.walk = std::min(b.walk, litho::bench::seconds(walk));
+    }
   }
-  return best;
+  return b;
 }
 
 core::DoinnConfig bench_config(bool quick) {
@@ -262,24 +275,25 @@ int main(int argc, char** argv) {
   exec.predict_batch({masks[0]});
   std::snprintf(shape, sizeof shape, "1x1x%lldx%lld",
                 static_cast<long long>(tile), static_cast<long long>(tile));
-  report("forward tile batch1", shape,
-         best_seconds(reps, [&] { walk.predict_batch({masks[0]}); }),
-         best_seconds(reps, [&] { exec.predict_batch({masks[0]}); }));
+  const BestPair b1 =
+      best_pair(reps, [&] { walk.predict_batch({masks[0]}); },
+                [&] { exec.predict_batch({masks[0]}); });
+  report("forward tile batch1", shape, b1.walk, b1.exec);
 
   std::snprintf(shape, sizeof shape, "%dx1x%lldx%lld", kBatch,
                 static_cast<long long>(tile), static_cast<long long>(tile));
-  const double walk_s = best_seconds(reps, [&] { walk.predict_batch(masks); });
-  const double exec_s = best_seconds(reps, [&] { exec.predict_batch(masks); });
-  report("forward tile batch8", shape, walk_s, exec_s);
+  const BestPair b8 = best_pair(reps, [&] { walk.predict_batch(masks); },
+                                [&] { exec.predict_batch(masks); });
+  report("forward tile batch8", shape, b8.walk, b8.exec);
 
   std::snprintf(shape, sizeof shape, "%lldx%lld (2x2 clips)",
                 static_cast<long long>(large_mask.size(0)),
                 static_cast<long long>(large_mask.size(1)));
-  report("predict_large", shape,
-         best_seconds(reps, [&] { walk.predict(large_mask); }),
-         best_seconds(reps, [&] { exec.predict(large_mask); }));
+  const BestPair bl = best_pair(reps, [&] { walk.predict(large_mask); },
+                                [&] { exec.predict(large_mask); });
+  report("predict_large", shape, bl.walk, bl.exec);
 
-  const double headline = walk_s / exec_s;
+  const double headline = b8.walk / b8.exec;
   const double gate = 1.15;
   std::printf(
       "\nexecutor speedup (batch%d tile forward): %.2fx (>= %.2fx: %s)\n",

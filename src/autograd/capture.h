@@ -40,6 +40,9 @@ namespace litho::ag {
 struct ReplayIO {
   const float* const* ins = nullptr;
   float* const* outs = nullptr;
+  // The node's NodeTuning::scratch_floats of arena scratch (nullptr when it
+  // asked for none); contents are unspecified on entry.
+  float* scratch = nullptr;
   const float* in(int i) const { return ins[i]; }
   float* out(int i) const { return outs[i]; }
 };
@@ -58,6 +61,13 @@ struct NodeTuning {
   // through it, and stride-1 convs feed the indirect micro-kernel from it.
   // Empty for transposed convs.
   std::vector<Im2colStep> im2col;
+  // Stride-1 fp32 convs of narrow planes: replay copies the input into a
+  // zero-bordered plane in its scratch and runs unpadded, so the runs along
+  // the border feed the indirect micro-kernel too. Same gathered values,
+  // same bits; im2col then describes the bordered plane.
+  bool prepad = false;
+  // Arena scratch the replay closure needs (ReplayIO::scratch), in floats.
+  int64_t scratch_floats = 0;
   int64_t nc = 0;                       // column-block width (0 = default)
   BFeed bfeed = BFeed::kAuto;           // B-feed strategy
 };

@@ -296,15 +296,57 @@ void bn_eval_core(const float* x, float* o, int64_t n, int64_t c,
   }
 }
 
+/// Executor plans of stride-1 fp32 convs at most this wide replay over a
+/// zero-bordered copy of their input (NodeTuning::prepad). Per input
+/// channel and output row of a 3x3 conv, the two 2*kGemmNR-pixel runs that
+/// touch the border gather 9 * 2 * 16 = 288 floats, and the copy writes
+/// w + 2: up to here the copy is the cheaper one.
+constexpr int64_t kPrepadMaxWidth = 256;
+
+/// Copies @p planes planes of h x w into the interiors of zeroed
+/// (h + 2*pad) x (w + 2*pad) planes at @p dst.
+void pad_planes(const float* x, int64_t planes, int64_t h, int64_t w,
+                int64_t pad, float* dst) {
+  const int64_t pw = w + 2 * pad;
+  const int64_t pplane = (h + 2 * pad) * pw;
+  runtime::parallel_for(planes, [&](int64_t p0, int64_t p1) {
+    for (int64_t p = p0; p < p1; ++p) {
+      float* d = dst + p * pplane;
+      std::fill(d, d + pad * pw, 0.f);
+      for (int64_t y = 0; y < h; ++y) {
+        float* row = d + (pad + y) * pw;
+        std::fill(row, row + pad, 0.f);
+        std::copy(x + (p * h + y) * w, x + (p * h + y + 1) * w, row + pad);
+        std::fill(row + pad + w, row + pw, 0.f);
+      }
+      std::fill(d + (pad + h) * pw, d + pplane, 0.f);
+    }
+  });
+}
+
 /// The conv2d_prepacked compute body: GEMM fan-out over (sample, column
 /// block) tasks. @p tuning (nullable) supplies the executor's fused
-/// epilogue chain and per-shape knobs; all knobs are bitwise-neutral.
+/// epilogue chain, per-shape knobs and the prepad choice, whose bordered
+/// plane goes to @p scratch; none of them changes a bit.
 void conv2d_prepacked_run(const ConvDims& d, const PackedWeight& wp,
                           const float* x, const float* bias, int64_t stride,
                           int64_t padding, const NodeTuning* tuning,
-                          float* out) {
+                          float* scratch, float* out) {
   const int64_t l = d.oh * d.ow;
   const bool pointwise = d.kh == 1 && d.kw == 1 && stride == 1 && padding == 0;
+  // Prepad: gather from a zero-bordered copy with padding 0. Every run on
+  // one output row is then interior and feeds the indirect micro-kernel;
+  // the values gathered, zeros included, are the ones the border gather
+  // produces.
+  ConvDims g = d;  // the input geometry the packer walks
+  int64_t gpad = padding;
+  if (tuning != nullptr && tuning->prepad) {
+    g.h += 2 * padding;
+    g.w += 2 * padding;
+    gpad = 0;
+    pad_planes(x, d.n * d.cin, d.h, d.w, padding, scratch);
+    x = scratch;
+  }
   GemmEpilogue ep;
   ep.bias = bias;
   if (tuning != nullptr) {
@@ -340,7 +382,7 @@ void conv2d_prepacked_run(const ConvDims& d, const PackedWeight& wp,
     float* ib = scales->data();
     float* cb = scales->data() + d.n;
     const float* rs = wp.row_scales();
-    const int64_t plane = d.cin * d.h * d.w;
+    const int64_t plane = g.cin * g.h * g.w;
     for (int64_t s = 0; s < d.n; ++s) {
       const float amax = max_abs(x + s * plane, plane);
       ib[s] = amax > 0.f ? 127.f / amax : 0.f;
@@ -355,9 +397,9 @@ void conv2d_prepacked_run(const ConvDims& d, const PackedWeight& wp,
     for (int64_t t = t0; t < t1; ++t) {
       const int64_t s = t / blocks;
       const int64_t blk = t % blocks;
-      const float* xs = x + s * d.cin * d.h * d.w;
+      const float* xs = x + s * g.cin * g.h * g.w;
       float* cs = out + s * d.cout * l;
-      const Im2colPacker im(xs, d.h, d.w, d.kh, stride, padding, d.ow, steps);
+      const Im2colPacker im(xs, g.h, g.w, d.kh, stride, gpad, d.ow, steps);
       const StridedBPacker direct(xs, l, /*transposed=*/false);
       const BPanelPacker& bp =
           pointwise ? static_cast<const BPanelPacker&>(direct)
@@ -829,14 +871,23 @@ Variable conv2d_prepacked(const Variable& x, const Variable& w,
   Tensor out({d.n, d.cout, d.oh, d.ow});
   conv2d_prepacked_run(d, *wp, x.value().data(),
                        has_bias ? b.value().data() : nullptr, stride, padding,
-                       /*tuning=*/nullptr, out.data());
+                       /*tuning=*/nullptr, /*scratch=*/nullptr, out.data());
   Variable out_v(std::move(out));
   if (GraphRecorder* rec = active_recorder()) {
     auto tuning = std::make_shared<NodeTuning>();
+    tuning->prepad = wp->precision() == Precision::kFp32 && stride == 1 &&
+                     padding > 0 && d.ow <= kPrepadMaxWidth;
     // Shape-specialized gather table: one decode per logical im2col row,
-    // amortized over every replay.
+    // amortized over every replay, for the geometry the replay walks.
+    ConvDims g = d;
+    if (tuning->prepad) {
+      g.h += 2 * padding;
+      g.w += 2 * padding;
+      tuning->scratch_floats = d.n * d.cin * g.h * g.w;
+    }
     tuning->im2col.resize(static_cast<size_t>(ckk));
-    fill_im2col_steps(d, padding, tuning->im2col.data());
+    fill_im2col_steps(g, tuning->prepad ? 0 : padding,
+                      tuning->im2col.data());
     Tensor bias_t = has_bias ? b.value() : Tensor();
     std::shared_ptr<const PackedWeight> pack = wp;
     CaptureNode& node = rec->record(
@@ -844,7 +895,8 @@ Variable conv2d_prepacked(const Variable& x, const Variable& w,
         [d, pack, bias_t, stride, padding, tuning](const ReplayIO& io) {
           conv2d_prepacked_run(d, *pack, io.in(0),
                                bias_t.numel() > 0 ? bias_t.data() : nullptr,
-                               stride, padding, tuning.get(), io.out(0));
+                               stride, padding, tuning.get(), io.scratch,
+                               io.out(0));
         });
     node.tuning = tuning;
     node.conv.valid = true;

@@ -1,5 +1,7 @@
 #include "runtime/engine.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <initializer_list>
 #include <stdexcept>
@@ -20,8 +22,7 @@ std::unique_ptr<ThreadPool> make_pool(const EngineOptions& opts) {
 }
 
 void binarize(Tensor& t) {
-  float* p = t.data();
-  for (int64_t i = 0; i < t.numel(); ++i) p[i] = p[i] >= 0.f ? 1.f : 0.f;
+  t.apply_([](float v) { return v >= 0.f ? 1.f : 0.f; });
 }
 
 // Deterministic probe values for plan capture and validation: the same bits
@@ -46,25 +47,25 @@ bool bitwise_equal(const Tensor& a, const Tensor& b) {
                      sizeof(float) * static_cast<size_t>(a.numel())) == 0;
 }
 
-// Copies @p inputs into a pooled context of @p exec, replays, and copies
-// graph output 0 to @p out.
-void replay(GraphExecutor& exec, std::initializer_list<const Tensor*> inputs,
-            float* out) {
-  std::unique_ptr<ExecContext> ctx = exec.acquire();
+// Copies @p inputs into @p ctx, replays, and copies graph output 0 to @p out.
+void replay(GraphExecutor& exec, ExecContext& ctx,
+            std::initializer_list<const Tensor*> inputs, float* out) {
   int i = 0;
   for (const Tensor* t : inputs) {
-    std::copy(t->data(), t->data() + t->numel(), ctx->input(i++));
+    std::copy(t->data(), t->data() + t->numel(), ctx.input(i++));
   }
-  exec.run(*ctx);
-  std::copy(ctx->output(0), ctx->output(0) + ctx->output_numel(0), out);
-  exec.release(std::move(ctx));
+  exec.run(ctx);
+  std::copy(ctx.output(0), ctx.output(0) + ctx.output_numel(0), out);
 }
 
-// As above, into a new tensor shaped like graph output 0's slot.
+// As above through a pooled context, into a new tensor shaped like graph
+// output 0's slot.
 Tensor replay(GraphExecutor& exec,
               std::initializer_list<const Tensor*> inputs) {
   Tensor out(exec.graph().slots[exec.graph().outputs[0]].shape);
-  replay(exec, inputs, out.data());
+  std::unique_ptr<ExecContext> ctx = exec.acquire();
+  replay(exec, *ctx, inputs, out.data());
+  exec.release(std::move(ctx));
   return out;
 }
 
@@ -200,14 +201,24 @@ std::vector<Tensor> InferenceEngine::predict_batch(
   for (int64_t i = 0; i < n; ++i) contours.emplace_back(Shape{h, w});
   GraphExecutor* plan =
       h == config().tile && w == config().tile ? tile_plan_.get() : nullptr;
+  // One context per lane (parallel_for runs at most pool-size chunks),
+  // taken before the fan-out: batches of a size replay on the same warm
+  // contexts whichever thread claims which lane, so their steady state
+  // allocates nothing.
+  std::vector<std::unique_ptr<ExecContext>> lanes(
+      plan != nullptr ? static_cast<size_t>(std::min<int64_t>(n, pool_->size()))
+                      : 0);
+  for (std::unique_ptr<ExecContext>& ctx : lanes) ctx = plan->acquire();
+  std::atomic<size_t> next_lane{0};
   // One lane's samples, each replayed (or walked) as a batch of one straight
   // into its preallocated contour.
   auto forward = [&](int64_t begin, int64_t end) {
+    ExecContext* ctx = plan != nullptr ? lanes[next_lane++].get() : nullptr;
     for (int64_t i = begin; i < end; ++i) {
       const Tensor& m = masks[static_cast<size_t>(i)];
       Tensor& c = contours[static_cast<size_t>(i)];
-      if (plan != nullptr) {
-        replay(*plan, {&m}, c.data());
+      if (ctx != nullptr) {
+        replay(*plan, *ctx, {&m}, c.data());
       } else {
         const ag::Variable x(m.clone().reshape({1, 1, h, w}), false);
         const Tensor y = model_->forward(x).value();
@@ -230,6 +241,7 @@ std::vector<Tensor> InferenceEngine::predict_batch(
         MetricsRegistry::global().gauge("engine.heap_allocs_per_batch");
     allocs_gauge.set(heap_alloc_count() - allocs_before);
   }
+  for (std::unique_ptr<ExecContext>& ctx : lanes) plan->release(std::move(ctx));
   return contours;
 }
 

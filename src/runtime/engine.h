@@ -85,8 +85,9 @@ class InferenceEngine {
   /// batch-1 forward: the samples split into one contiguous chunk per pool
   /// lane (a single sample runs inline with the kernels parallel inside
   /// it), and a chunk runs its samples one after another. A [tile, tile]
-  /// mask replays the tile plan, any other shape takes the op walk.
-  /// Per-sample results are bitwise identical to core::predict_contour.
+  /// mask replays the tile plan on its lane's context, taken before the
+  /// fan-out; any other shape takes the op walk. Per-sample results are
+  /// bitwise identical to core::predict_contour.
   std::vector<Tensor> predict_batch(const std::vector<Tensor>& masks);
 
   /// Binarized contour for a mask larger than the training tile: the

@@ -96,10 +96,13 @@ ExecContext::ExecContext(const GraphExecutor& exec) : exec_(&exec) {
 
   ins_.reserve(static_cast<size_t>(exec.ins_total_));
   outs_.reserve(static_cast<size_t>(exec.outs_total_));
-  for (int node_idx : exec.schedule_) {
-    const ag::CaptureNode& node = g.nodes[node_idx];
+  scratch_.reserve(exec.schedule_.size());
+  for (size_t si = 0; si < exec.schedule_.size(); ++si) {
+    const ag::CaptureNode& node = g.nodes[exec.schedule_[si]];
     for (int s : node.ins) ins_.push_back(read_ptr(s));
     for (int s : node.outs) outs_.push_back(arena + exec.slot_offset_[s]);
+    const int64_t off = exec.scratch_offset_[si];
+    scratch_.push_back(off >= 0 ? arena + off : nullptr);
   }
   inputs_.reserve(g.inputs.size());
   for (int s : g.inputs) inputs_.push_back(arena + exec.slot_offset_[s]);
@@ -173,12 +176,14 @@ void GraphExecutor::release(std::unique_ptr<ExecContext> ctx) {
 
 void GraphExecutor::run(ExecContext& ctx) const {
   DOINN_TRACE_SCOPE("exec.replay", "exec", "nodes", live_nodes_);
+  ScopedLeaseCache leases(&ctx.leases_);
   for (size_t i = 0; i < schedule_.size(); ++i) {
     const ag::CaptureNode& node =
         graph_->nodes[static_cast<size_t>(schedule_[i])];
     ag::ReplayIO io;
     io.ins = ctx.ins_.data() + in_off_[i];
     io.outs = ctx.outs_.data() + out_off_[i];
+    io.scratch = ctx.scratch_[i];
     node.run(io);
   }
 }
@@ -279,12 +284,25 @@ void GraphExecutor::plan_arena(uint64_t seed) {
   const ag::CapturedGraph& g = *graph_;
   const int nslots = static_cast<int>(g.slots.size());
   const int kEnd = static_cast<int>(g.nodes.size()) + 1;
+  // Items 0..nslots-1 are slots; item nslots + si is the scratch of the
+  // node scheduled at si (NodeTuning::scratch_floats), live only while
+  // that node runs.
+  const int nitems = nslots + static_cast<int>(schedule_.size());
+  std::vector<int64_t> numel(static_cast<size_t>(nitems), 0);
+  for (int s = 0; s < nslots; ++s) {
+    numel[static_cast<size_t>(s)] = g.slots[static_cast<size_t>(s)].numel;
+  }
 
-  std::vector<int> start(static_cast<size_t>(nslots), -2);  // -2 = unused
-  std::vector<int> last(static_cast<size_t>(nslots), -2);
+  std::vector<int> start(static_cast<size_t>(nitems), -2);  // -2 = unused
+  std::vector<int> last(static_cast<size_t>(nitems), -2);
   for (size_t si = 0; si < schedule_.size(); ++si) {
     const int ni = schedule_[si];
     const ag::CaptureNode& node = g.nodes[static_cast<size_t>(ni)];
+    if (node.tuning != nullptr && node.tuning->scratch_floats > 0) {
+      const size_t item = static_cast<size_t>(nslots) + si;
+      numel[item] = node.tuning->scratch_floats;
+      start[item] = last[item] = ni;
+    }
     for (int s : node.outs) {
       start[static_cast<size_t>(s)] = ni;
       last[static_cast<size_t>(s)] = std::max(last[static_cast<size_t>(s)], ni);
@@ -305,14 +323,17 @@ void GraphExecutor::plan_arena(uint64_t seed) {
   }
 
   std::vector<int> order;
-  for (int s = 0; s < nslots; ++s) {
-    if (g.slots[static_cast<size_t>(s)].constant.numel() > 0) continue;
-    if (start[static_cast<size_t>(s)] == -2) continue;  // orphaned by fusion
+  for (int s = 0; s < nitems; ++s) {
+    if (s < nslots && g.slots[static_cast<size_t>(s)].constant.numel() > 0) {
+      continue;
+    }
+    // Orphaned by fusion, or a node without scratch.
+    if (start[static_cast<size_t>(s)] == -2) continue;
     order.push_back(s);
   }
   std::sort(order.begin(), order.end(), [&](int a, int b) {
-    const int64_t na = g.slots[static_cast<size_t>(a)].numel;
-    const int64_t nb = g.slots[static_cast<size_t>(b)].numel;
+    const int64_t na = numel[static_cast<size_t>(a)];
+    const int64_t nb = numel[static_cast<size_t>(b)];
     return na != nb ? na > nb : a < b;
   });
   if (seed != 0) {
@@ -326,12 +347,12 @@ void GraphExecutor::plan_arena(uint64_t seed) {
   };
   std::vector<Placed> placed;
   slot_offset_.assign(static_cast<size_t>(nslots), -1);
+  scratch_offset_.assign(schedule_.size(), -1);
   arena_floats_ = 0;
 
   for (int s : order) {
     const int64_t size =
-        align_floats(std::max<int64_t>(g.slots[static_cast<size_t>(s)].numel,
-                                       1));
+        align_floats(std::max<int64_t>(numel[static_cast<size_t>(s)], 1));
     const int s0 = start[static_cast<size_t>(s)];
     const int s1 = std::max(last[static_cast<size_t>(s)], s0);
 
@@ -358,7 +379,8 @@ void GraphExecutor::plan_arena(uint64_t seed) {
     }
     if (best_off < 0) best_off = cursor;
 
-    slot_offset_[static_cast<size_t>(s)] = best_off;
+    (s < nslots ? slot_offset_[static_cast<size_t>(s)]
+                : scratch_offset_[static_cast<size_t>(s - nslots)]) = best_off;
     placed.push_back(Placed{best_off, size, s0, s1});
     arena_floats_ = std::max(arena_floats_, best_off + size);
   }
@@ -429,6 +451,7 @@ void GraphExecutor::autotune(int64_t budget_ms) {
     ag::ReplayIO io;
     io.ins = ctx->ins_.data() + in_off_[si];
     io.outs = ctx->outs_.data() + out_off_[si];
+    io.scratch = ctx->scratch_[si];
     auto time_with = [&](const TuneChoice& c) {
       node.tuning->nc = c.nc;
       node.tuning->bfeed = c.bfeed;

@@ -13,13 +13,16 @@
 //              finished accumulator values, so fusion is bitwise-neutral.
 //   plan     — liveness analysis over slots, then greedy best-fit offset
 //              assignment into a single arena so disjoint-lifetime
-//              intermediates share memory.
+//              intermediates share memory. A node's scratch
+//              (NodeTuning::scratch_floats) is planned as a slot that
+//              lives only while the node runs.
 //   autotune — time bitwise-neutral kernel knobs (GEMM column-block width,
 //              packed-B feed strategy) per conv node against real arena
 //              buffers and bake the winners into the node's NodeTuning.
 //   replay   — run(ctx): iterate live nodes calling their closures against
 //              prebuilt pointer tables. Steady-state replays perform zero
-//              heap allocations (contexts and kernel scratch are pooled).
+//              heap allocations (contexts are pooled, and each keeps the
+//              kernel scratch its replays lease in its own LeaseCache).
 //
 // Determinism: every replay closure runs the same compute core as the op
 // walk, and every tuning knob is bitwise-neutral, so executor output is
@@ -37,6 +40,7 @@
 #include <vector>
 
 #include "autograd/capture.h"
+#include "runtime/workspace.h"
 
 namespace litho::runtime {
 
@@ -80,9 +84,10 @@ struct ExecutorOptions {
 class GraphExecutor;
 
 /// One in-flight replay's buffers: the arena plus per-node pointer tables
-/// resolved against it at construction. Acquire from the executor, fill
-/// input(), run, read output(), release — contexts recycle through a free
-/// list, so steady-state replays allocate nothing.
+/// resolved against it at construction, and the kernel scratch its replays
+/// lease on the replaying thread. Acquire from the executor, fill input(),
+/// run, read output(), release — contexts recycle through a free list, and
+/// a context's second and later replays allocate nothing.
 class ExecContext {
  public:
   /// Writable buffer of graph input @p i (arena-backed, sized to the slot).
@@ -97,10 +102,12 @@ class ExecContext {
   explicit ExecContext(const GraphExecutor& exec);
 
   std::vector<float> arena_;
+  LeaseCache leases_;
   // Flat pointer tables; node i's operands are the slices
   // ins_[in_off_[i] .. ) and outs_[out_off_[i] .. ).
   std::vector<const float*> ins_;
   std::vector<float*> outs_;
+  std::vector<float*> scratch_;  // per scheduled node; nullptr = none
   std::vector<float*> inputs_;
   std::vector<const float*> outputs_;
   const GraphExecutor* exec_ = nullptr;
@@ -151,6 +158,8 @@ class GraphExecutor {
   // Per-slot arena offset in floats; -1 = constant (points into its frozen
   // tensor) or unused.
   std::vector<int64_t> slot_offset_;
+  // Per scheduled node: arena offset of its scratch, -1 = none.
+  std::vector<int64_t> scratch_offset_;
   int64_t arena_floats_ = 0;
   int64_t live_nodes_ = 0;
   int64_t fused_nodes_ = 0;

@@ -70,6 +70,10 @@ ThreadPool::ThreadPool(int num_threads) {
   for (int i = 0; i < size_ - 1; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
+  // A worker's startup allocates (its trace ring). Waiting for it here
+  // keeps those allocations out of any later allocation-free window.
+  std::unique_lock<std::mutex> lock(mutex_);
+  idle_.wait(lock, [this] { return started_ == size_ - 1; });
 }
 
 ThreadPool::~ThreadPool() {
@@ -115,6 +119,11 @@ void ThreadPool::worker_loop() {
   this_thread_is_worker = true;
   worker_owner = this;
   trace::set_thread_name("pool-worker");
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    ++started_;
+  }
+  idle_.notify_all();
   for (;;) {
     std::function<void()> task;
     ParallelJob* job = nullptr;

@@ -115,6 +115,7 @@ class ThreadPool {
   std::condition_variable job_done_;
   ParallelJob* jobs_ = nullptr;  // live parallel_for broadcasts (stack-owned)
   int64_t in_flight_ = 0;  // queued + running tasks
+  int started_ = 0;        // workers past their startup (idle_ signals it)
   bool stopping_ = false;
 };
 

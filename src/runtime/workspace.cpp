@@ -12,7 +12,60 @@ namespace {
 constexpr size_t kMaxPooled = 64;
 constexpr size_t kMaxPooledBytes = 64u << 20;  // 64 MiB across the free list
 
+thread_local LeaseCache* current_cache = nullptr;
+
+// Removes and returns the smallest buffer in @p list whose capacity holds
+// @p want elements (an empty vector if none does), so big buffers stay
+// available for big requests.
+template <typename T>
+std::vector<T> take_smallest_fit(std::vector<std::vector<T>>& list,
+                                 size_t want) {
+  size_t best = list.size();
+  for (size_t i = 0; i < list.size(); ++i) {
+    const size_t cap = list[i].capacity();
+    if (cap >= want &&
+        (best == list.size() || cap < list[best].capacity())) {
+      best = i;
+    }
+  }
+  if (best == list.size()) return {};
+  std::vector<T> buf = std::move(list[best]);
+  list[best] = std::move(list.back());
+  list.pop_back();
+  return buf;
+}
+
+// Grow-only resize: buffers keep their high-watermark size across leases,
+// so the value-initializing fill is paid at most once per size class per
+// buffer, never on steady-state reuse. Lease contents stay unspecified
+// either way.
+template <typename T>
+void fit(std::vector<T>& buf, size_t want) {
+  if (buf.size() < want) buf.resize(want);
+}
+
 }  // namespace
+
+ScopedLeaseCache::ScopedLeaseCache(LeaseCache* cache) : prev_(current_cache) {
+  current_cache = cache;
+}
+
+ScopedLeaseCache::~ScopedLeaseCache() { current_cache = prev_; }
+
+LeaseCache* ScopedLeaseCache::current() { return current_cache; }
+
+template <typename T>
+std::vector<T> LeaseCache::acquire(size_t min_size) {
+  const size_t want = next_pow2(std::max<size_t>(min_size, 1));
+  std::vector<T> buf = take_smallest_fit(list<T>(), want);
+  fit(buf, want);
+  return buf;
+}
+
+template std::vector<std::complex<double>>
+LeaseCache::acquire<std::complex<double>>(size_t);
+template std::vector<float> LeaseCache::acquire<float>(size_t);
+template std::vector<int8_t> LeaseCache::acquire<int8_t>(size_t);
 
 template <typename T>
 struct BasicWorkspacePool<T>::Impl {
@@ -44,30 +97,13 @@ std::vector<T> BasicWorkspacePool<T>::acquire(size_t min_size) {
   {
     std::lock_guard<std::mutex> lock(im.mu);
     ++im.stats.acquires;
-    // Smallest pooled buffer that already fits, so big buffers stay
-    // available for big requests.
-    size_t best = im.free_list.size();
-    for (size_t i = 0; i < im.free_list.size(); ++i) {
-      const size_t cap = im.free_list[i].capacity();
-      if (cap >= want &&
-          (best == im.free_list.size() ||
-           cap < im.free_list[best].capacity())) {
-        best = i;
-      }
-    }
-    if (best != im.free_list.size()) {
+    buf = take_smallest_fit(im.free_list, want);
+    if (buf.capacity() > 0) {
       ++im.stats.reuses;
-      buf = std::move(im.free_list[best]);
       im.free_bytes -= buf.capacity() * sizeof(T);
-      im.free_list[best] = std::move(im.free_list.back());
-      im.free_list.pop_back();
     }
   }
-  // Grow-only resize outside the lock: buffers keep their high-watermark
-  // size across leases, so the value-initializing fill is paid at most once
-  // per size class per buffer, never on steady-state reuse. Lease contents
-  // stay unspecified either way.
-  if (buf.size() < want) buf.resize(want);
+  fit(buf, want);  // outside the lock
   return buf;
 }
 

@@ -22,6 +22,7 @@
 #include <complex>
 #include <cstddef>
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 namespace litho::runtime {
@@ -76,15 +77,65 @@ using FloatWorkspacePool = BasicWorkspacePool<float>;
 /// and the int32 partial sums parked between K chunks, viewed as int32).
 using Int8WorkspacePool = BasicWorkspacePool<int8_t>;
 
-/// RAII lease of pooled scratch. Not thread-safe itself (one lease per
-/// worker chunk); the underlying pool is.
+/// A private free list for every element type. While a ScopedLeaseCache
+/// names it, the leases made on that thread are served from it and returned
+/// to it instead of the process-wide pools. A graph-executor context owns
+/// one: its replays lease the same buffers in the same order every time, so
+/// after its first replay a context allocates no scratch, however other
+/// threads' leases interleave. Not thread-safe: one thread at a time.
+class LeaseCache {
+ public:
+  /// As BasicWorkspacePool::acquire, from this cache's buffers.
+  template <typename T>
+  std::vector<T> acquire(size_t min_size);
+  /// Keeps @p buf for a later acquire (never dropped).
+  template <typename T>
+  void release(std::vector<T> buf) {
+    list<T>().push_back(std::move(buf));
+  }
+
+ private:
+  template <typename T>
+  std::vector<std::vector<T>>& list() {
+    return std::get<std::vector<std::vector<T>>>(lists_);
+  }
+  std::tuple<std::vector<std::vector<std::complex<double>>>,
+             std::vector<std::vector<float>>, std::vector<std::vector<int8_t>>>
+      lists_;
+};
+
+/// Routes the calling thread's leases to @p cache (nullptr: the pools) for
+/// its lifetime.
+class ScopedLeaseCache {
+ public:
+  explicit ScopedLeaseCache(LeaseCache* cache);
+  ~ScopedLeaseCache();
+  ScopedLeaseCache(const ScopedLeaseCache&) = delete;
+  ScopedLeaseCache& operator=(const ScopedLeaseCache&) = delete;
+  /// The cache the calling thread's leases go to, or nullptr.
+  static LeaseCache* current();
+
+ private:
+  LeaseCache* prev_;
+};
+
+/// RAII lease of pooled scratch, from the thread's LeaseCache when one is
+/// installed. Not thread-safe itself (one lease per worker chunk); the
+/// underlying pool is.
 template <typename T>
 class BasicWorkspace {
  public:
   explicit BasicWorkspace(size_t n)
-      : buf_(BasicWorkspacePool<T>::instance().acquire(n)), n_(n) {}
+      : cache_(ScopedLeaseCache::current()),
+        buf_(cache_ != nullptr ? cache_->acquire<T>(n)
+                               : BasicWorkspacePool<T>::instance().acquire(n)),
+        n_(n) {}
   ~BasicWorkspace() {
-    BasicWorkspacePool<T>::instance().release(std::move(buf_));
+    if (cache_ != nullptr) {
+      cache_->release(std::move(buf_));
+    } else {
+      BasicWorkspacePool<T>::instance().release(std::move(buf_));
+    }
   }
   BasicWorkspace(const BasicWorkspace&) = delete;
   BasicWorkspace& operator=(const BasicWorkspace&) = delete;
@@ -95,6 +146,7 @@ class BasicWorkspace {
   size_t size() const { return n_; }
 
  private:
+  LeaseCache* cache_;
   std::vector<T> buf_;
   size_t n_;
 };

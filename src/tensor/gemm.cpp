@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <optional>
 
 #include "runtime/thread_pool.h"
@@ -293,36 +295,48 @@ void run_col_block(const PackedPanelsView* pa, GemmLayout layout,
 
 void apply_gemm_post(const GemmEpilogue& ep, float* c, int64_t n, int64_t m,
                      int64_t j0, int64_t j1) {
-  for (int s = 0; s < ep.post_count; ++s) {
-    const EpiloguePostStage& st = ep.post[s];
-    switch (st.kind) {
-      case EpiloguePostStage::Kind::kBnAffine:
-        for (int64_t i = 0; i < m; ++i) {
+  // Every stage runs over a row while it is still in L1. Each stage is a
+  // branch-free loop the compiler vectorizes, computing exactly the
+  // standalone op's per-element expression.
+  for (int64_t i = 0; i < m; ++i) {
+    float* __restrict row = c + i * n;
+    for (int s = 0; s < ep.post_count; ++s) {
+      const EpiloguePostStage& st = ep.post[s];
+      switch (st.kind) {
+        case EpiloguePostStage::Kind::kBnAffine: {
           const float mu = st.mu[i];
           const float is = st.inv_std[i];
           const float ga = st.gamma[i];
           const float be = st.beta[i];
-          float* row = c + i * n;
           for (int64_t j = j0; j < j1; ++j) {
             const float xh = (row[j] - mu) * is;
             row[j] = ga * xh + be;
           }
+          break;
         }
-        break;
-      case EpiloguePostStage::Kind::kLeaky:
-        for (int64_t i = 0; i < m; ++i) {
-          float* row = c + i * n;
+        case EpiloguePostStage::Kind::kLeaky: {
+          // v * (v < 0 ? slope : 1) is the standalone op's value for every
+          // non-NaN v, signed zeros included. The factor is picked with a
+          // bit mask: GCC will not if-convert a float select under its
+          // default -ftrapping-math, and the branchy loop stays scalar.
+          uint32_t slope_bits, one_bits;
+          const float one = 1.f;
+          std::memcpy(&slope_bits, &st.slope, sizeof slope_bits);
+          std::memcpy(&one_bits, &one, sizeof one_bits);
           for (int64_t j = j0; j < j1; ++j) {
-            if (row[j] < 0.f) row[j] *= st.slope;
+            const float v = row[j];
+            const uint32_t neg = 0u - static_cast<uint32_t>(v < 0.f);
+            const uint32_t bits = (slope_bits & neg) | (one_bits & ~neg);
+            float factor;
+            std::memcpy(&factor, &bits, sizeof factor);
+            row[j] = v * factor;
           }
+          break;
         }
-        break;
-      case EpiloguePostStage::Kind::kTanh:
-        for (int64_t i = 0; i < m; ++i) {
-          float* row = c + i * n;
+        case EpiloguePostStage::Kind::kTanh:
           for (int64_t j = j0; j < j1; ++j) row[j] = std::tanh(row[j]);
-        }
-        break;
+          break;
+      }
     }
   }
 }

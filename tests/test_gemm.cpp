@@ -597,6 +597,32 @@ TEST(FloatWorkspacePool, ReusesReleasedBuffers) {
   pool.clear();
 }
 
+// While a LeaseCache is installed, the thread's leases of every element
+// type come from and go back to it: the pools see nothing, and a repeated
+// lease sequence gets the same buffers back.
+TEST(FloatWorkspacePool, LeaseCacheServesTheThreadsLeases) {
+  runtime::FloatWorkspacePool& pool = runtime::FloatWorkspacePool::instance();
+  runtime::WorkspacePool& cpool = runtime::WorkspacePool::instance();
+  runtime::LeaseCache cache;
+  const float* first = nullptr;
+  const auto f0 = pool.stats();
+  const auto c0 = cpool.stats();
+  for (int pass = 0; pass < 2; ++pass) {
+    runtime::ScopedLeaseCache scope(&cache);
+    EXPECT_EQ(runtime::ScopedLeaseCache::current(), &cache);
+    runtime::FloatWorkspace big(5000);
+    { runtime::FloatWorkspace small(100); }
+    { runtime::Workspace complex(64); }
+    if (pass == 0) first = big.data();
+    EXPECT_EQ(big.data(), first) << "pass " << pass;
+  }
+  EXPECT_EQ(runtime::ScopedLeaseCache::current(), nullptr);
+  EXPECT_EQ(pool.stats().acquires, f0.acquires);
+  EXPECT_EQ(cpool.stats().acquires, c0.acquires);
+  { runtime::FloatWorkspace ws(64); }  // back to the pool
+  EXPECT_EQ(pool.stats().acquires, f0.acquires + 1);
+}
+
 TEST(FloatWorkspacePool, IndependentFromComplexPool) {
   runtime::FloatWorkspacePool::instance().clear();
   runtime::WorkspacePool::instance().clear();

@@ -16,6 +16,7 @@
 #include "autograd/grad_mode.h"
 #include "autograd/ops.h"
 #include "core/doinn.h"
+#include "nn/layers.h"
 #include "runtime/alloc_hooks.h"
 #include "runtime/engine.h"
 #include "runtime/graph_exec.h"
@@ -312,6 +313,61 @@ TEST(GraphExec, TwoPlansAtLoadServeEveryBatchAndShape) {
   }
 }
 
+// Prepad: a replayed stride-1 fp32 conv at most 256 px wide gathers from a
+// zero-bordered copy of its input in arena scratch. Widths on both sides of
+// the cutoff, rows shorter and longer than a 32-pixel run, batches of 1
+// and 2 and thread counts 1 and 3 must all replay bitwise equal to the op
+// walk; the second context replays over the first's stale arena.
+TEST(GraphExec, PrepadConvReplayMatchesOpWalk) {
+  auto rng = test::rng(61);
+  nn::Conv2d c3(3, 5, 3, 1, 1, rng), c5(5, 4, 5, 1, 2, rng);
+  c3.prepack_forward(Precision::kFp32);
+  c5.prepack_forward(Precision::kFp32);
+  auto forward = [&](const ag::Variable& x) {
+    return ag::leaky_relu(c5.forward(ag::leaky_relu(c3.forward(x), 0.2f)),
+                          0.2f);
+  };
+  for (int threads : {1, 3}) {
+    runtime::ThreadPool pool(threads);
+    runtime::ScopedPool scope(&pool);
+    for (int64_t n : {1, 2}) {
+      for (int64_t w : {8, 20, 32, 64, 96, 256, 288}) {
+        const Tensor probe = Tensor::rand({n, 3, 10, w}, rng);
+        auto graph = runtime::capture_graph(probe, forward);
+        int prepadded = 0;
+        for (const ag::CaptureNode& node : graph->nodes) {
+          if (node.tuning != nullptr && node.tuning->prepad) ++prepadded;
+        }
+        EXPECT_EQ(prepadded, w <= 256 ? 2 : 0) << "w " << w;
+        runtime::ExecutorOptions eo;
+        eo.autotune = false;
+        runtime::GraphExecutor exec(std::move(graph), eo);
+        for (int rep = 0; rep < 2; ++rep) {
+          const Tensor x = Tensor::rand({n, 3, 10, w}, rng);
+          Tensor ref;
+          {
+            ag::NoGradGuard no_grad;
+            ref = forward(ag::Variable(x.clone(), false)).value();
+          }
+          auto ctx = exec.acquire();
+          auto spare = exec.acquire();  // rep 1 replays on a used arena
+          std::copy(x.data(), x.data() + x.numel(), ctx->input(0));
+          exec.run(*ctx);
+          ASSERT_EQ(ctx->output_numel(0), ref.numel());
+          EXPECT_EQ(std::memcmp(ctx->output(0), ref.data(),
+                                sizeof(float) *
+                                    static_cast<size_t>(ref.numel())),
+                    0)
+              << "threads " << threads << " n " << n << " w " << w
+              << " rep " << rep;
+          exec.release(std::move(spare));
+          exec.release(std::move(ctx));
+        }
+      }
+    }
+  }
+}
+
 // -- Arena planning -----------------------------------------------------------
 
 // Aliasing safety: whatever order the planner assigns offsets in, live
@@ -419,6 +475,26 @@ TEST(GraphExec, SteadyStateReplayAllocatesNothing) {
                 .gauge("engine.arena_bytes")
                 .value(),
             0);
+}
+
+// Lanes: a batch wider than the pool replays on one context per lane, taken
+// before the fan-out, and each context keeps its kernel scratch. After one
+// batch, every batch of that size allocates nothing, however the threads
+// claim the lanes.
+TEST(GraphExec, LaneReplaysAllocateNothingAfterFirstBatch) {
+  const core::DoinnConfig cfg = tiny_config();
+  runtime::InferenceEngine engine(cfg, 19,
+                                  engine_opts(Precision::kFp32, 3, true));
+  ASSERT_EQ(engine.plan_fallbacks(), 0);
+  std::vector<Tensor> masks;
+  for (uint32_t s = 0; s < 7; ++s) masks.push_back(random_mask(64, 50 + s));
+  engine.predict_batch(masks);
+  auto& gauge =
+      runtime::MetricsRegistry::global().gauge("engine.heap_allocs_per_batch");
+  for (int i = 0; i < 20; ++i) {
+    engine.predict_batch(masks);
+    EXPECT_EQ(gauge.value(), 0) << "batch " << i;
+  }
 }
 
 }  // namespace
