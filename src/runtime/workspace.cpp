@@ -46,27 +46,6 @@ void fit(std::vector<T>& buf, size_t want) {
 
 }  // namespace
 
-ScopedLeaseCache::ScopedLeaseCache(LeaseCache* cache) : prev_(current_cache) {
-  current_cache = cache;
-}
-
-ScopedLeaseCache::~ScopedLeaseCache() { current_cache = prev_; }
-
-LeaseCache* ScopedLeaseCache::current() { return current_cache; }
-
-template <typename T>
-std::vector<T> LeaseCache::acquire(size_t min_size) {
-  const size_t want = next_pow2(std::max<size_t>(min_size, 1));
-  std::vector<T> buf = take_smallest_fit(list<T>(), want);
-  fit(buf, want);
-  return buf;
-}
-
-template std::vector<std::complex<double>>
-LeaseCache::acquire<std::complex<double>>(size_t);
-template std::vector<float> LeaseCache::acquire<float>(size_t);
-template std::vector<int8_t> LeaseCache::acquire<int8_t>(size_t);
-
 template <typename T>
 struct BasicWorkspacePool<T>::Impl {
   mutable std::mutex mu;
@@ -138,5 +117,44 @@ void BasicWorkspacePool<T>::clear() {
 template class BasicWorkspacePool<std::complex<double>>;
 template class BasicWorkspacePool<float>;
 template class BasicWorkspacePool<int8_t>;
+
+ScopedLeaseCache::ScopedLeaseCache(LeaseCache* cache) : prev_(current_cache) {
+  current_cache = cache;
+}
+
+ScopedLeaseCache::~ScopedLeaseCache() { current_cache = prev_; }
+
+LeaseCache* ScopedLeaseCache::current() { return current_cache; }
+
+template <typename T>
+std::vector<T> LeaseCache::acquire(size_t min_size) {
+  const size_t want = next_pow2(std::max<size_t>(min_size, 1));
+  std::vector<T> buf = take_smallest_fit(list<T>(), want);
+  if (buf.capacity() == 0) {
+    return BasicWorkspacePool<T>::instance().acquire(min_size);
+  }
+  bytes_ -= buf.capacity() * sizeof(T);
+  fit(buf, want);
+  return buf;
+}
+
+template <typename T>
+void LeaseCache::release(std::vector<T> buf) {
+  const size_t bytes = buf.capacity() * sizeof(T);
+  if (bytes_ + bytes > kMaxCachedBytes) {
+    BasicWorkspacePool<T>::instance().release(std::move(buf));
+    return;
+  }
+  bytes_ += bytes;
+  list<T>().push_back(std::move(buf));
+}
+
+template std::vector<std::complex<double>>
+LeaseCache::acquire<std::complex<double>>(size_t);
+template std::vector<float> LeaseCache::acquire<float>(size_t);
+template std::vector<int8_t> LeaseCache::acquire<int8_t>(size_t);
+template void LeaseCache::release(std::vector<std::complex<double>>);
+template void LeaseCache::release(std::vector<float>);
+template void LeaseCache::release(std::vector<int8_t>);
 
 }  // namespace litho::runtime

@@ -77,22 +77,26 @@ using FloatWorkspacePool = BasicWorkspacePool<float>;
 /// and the int32 partial sums parked between K chunks, viewed as int32).
 using Int8WorkspacePool = BasicWorkspacePool<int8_t>;
 
-/// A private free list for every element type. While a ScopedLeaseCache
-/// names it, the leases made on that thread are served from it and returned
-/// to it instead of the process-wide pools. A graph-executor context owns
-/// one: its replays lease the same buffers in the same order every time, so
-/// after its first replay a context allocates no scratch, however other
-/// threads' leases interleave. Not thread-safe: one thread at a time.
+/// A private free list for every element type, in front of the
+/// process-wide pools. While a ScopedLeaseCache names it, the leases made
+/// on that thread are served from it (from the pool when none fits) and
+/// returned to it. A graph-executor context owns one: its replays lease the
+/// same buffers in the same order every time, so after its first replay a
+/// context allocates no scratch, however other threads' leases interleave.
+/// Released buffers beyond kMaxCachedBytes go back to the pool, whose own
+/// budget then bounds plane-sized scratch. Not thread-safe: one thread at a
+/// time.
 class LeaseCache {
  public:
-  /// As BasicWorkspacePool::acquire, from this cache's buffers.
+  static constexpr size_t kMaxCachedBytes = size_t{16} << 20;
+
+  /// As BasicWorkspacePool::acquire, from this cache's buffers first.
   template <typename T>
   std::vector<T> acquire(size_t min_size);
-  /// Keeps @p buf for a later acquire (never dropped).
+  /// Keeps @p buf for a later acquire, or returns it to the pool when the
+  /// cache would exceed kMaxCachedBytes.
   template <typename T>
-  void release(std::vector<T> buf) {
-    list<T>().push_back(std::move(buf));
-  }
+  void release(std::vector<T> buf);
 
  private:
   template <typename T>
@@ -102,6 +106,7 @@ class LeaseCache {
   std::tuple<std::vector<std::vector<std::complex<double>>>,
              std::vector<std::vector<float>>, std::vector<std::vector<int8_t>>>
       lists_;
+  size_t bytes_ = 0;  // capacity held in lists_
 };
 
 /// Routes the calling thread's leases to @p cache (nullptr: the pools) for

@@ -598,29 +598,44 @@ TEST(FloatWorkspacePool, ReusesReleasedBuffers) {
 }
 
 // While a LeaseCache is installed, the thread's leases of every element
-// type come from and go back to it: the pools see nothing, and a repeated
-// lease sequence gets the same buffers back.
+// type go back to it, and a repeated lease sequence is served from it alone
+// with the same buffers; only its first pass takes buffers from the pools.
+// A buffer that would take the cache past its byte budget goes back to the
+// pool.
 TEST(FloatWorkspacePool, LeaseCacheServesTheThreadsLeases) {
   runtime::FloatWorkspacePool& pool = runtime::FloatWorkspacePool::instance();
   runtime::WorkspacePool& cpool = runtime::WorkspacePool::instance();
+  pool.clear();
   runtime::LeaseCache cache;
   const float* first = nullptr;
-  const auto f0 = pool.stats();
-  const auto c0 = cpool.stats();
-  for (int pass = 0; pass < 2; ++pass) {
-    runtime::ScopedLeaseCache scope(&cache);
-    EXPECT_EQ(runtime::ScopedLeaseCache::current(), &cache);
-    runtime::FloatWorkspace big(5000);
-    { runtime::FloatWorkspace small(100); }
-    { runtime::Workspace complex(64); }
-    if (pass == 0) first = big.data();
-    EXPECT_EQ(big.data(), first) << "pass " << pass;
+  for (int pass = 0; pass < 3; ++pass) {
+    const auto f0 = pool.stats();
+    const auto c0 = cpool.stats();
+    {
+      runtime::ScopedLeaseCache scope(&cache);
+      EXPECT_EQ(runtime::ScopedLeaseCache::current(), &cache);
+      runtime::FloatWorkspace big(5000);
+      { runtime::FloatWorkspace small(100); }
+      { runtime::Workspace complex(64); }
+      if (pass == 0) first = big.data();
+      EXPECT_EQ(big.data(), first) << "pass " << pass;
+    }
+    if (pass > 0) {
+      EXPECT_EQ(pool.stats().acquires, f0.acquires) << "pass " << pass;
+      EXPECT_EQ(cpool.stats().acquires, c0.acquires) << "pass " << pass;
+    }
   }
   EXPECT_EQ(runtime::ScopedLeaseCache::current(), nullptr);
-  EXPECT_EQ(pool.stats().acquires, f0.acquires);
-  EXPECT_EQ(cpool.stats().acquires, c0.acquires);
-  { runtime::FloatWorkspace ws(64); }  // back to the pool
-  EXPECT_EQ(pool.stats().acquires, f0.acquires + 1);
+
+  const size_t huge = runtime::LeaseCache::kMaxCachedBytes / sizeof(float) + 1;
+  {
+    runtime::ScopedLeaseCache scope(&cache);
+    runtime::FloatWorkspace ws(huge);
+  }
+  const auto h0 = pool.stats();
+  { runtime::FloatWorkspace ws(huge); }
+  EXPECT_EQ(pool.stats().reuses, h0.reuses + 1);
+  pool.clear();
 }
 
 TEST(FloatWorkspacePool, IndependentFromComplexPool) {
