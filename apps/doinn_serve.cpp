@@ -212,14 +212,7 @@ int main(int argc, char** argv) {
     }
     const std::string trace_out = args.get("trace-out", "");
     const std::string metrics_out = args.get("metrics-out", "");
-    if (!trace_out.empty()) {
-      runtime::trace::set_enabled(true);
-#if !DOINN_TRACING_ENABLED
-      std::fprintf(stderr,
-                   "warning: --trace-out given but tracing was compiled out "
-                   "(DOINN_TRACING=OFF); the trace will be empty\n");
-#endif
-    }
+    if (!trace_out.empty()) runtime::trace::set_enabled(true);
     runtime::trace::set_thread_name("serve-main");
 #ifdef SIGUSR1
     std::signal(SIGUSR1, on_sigusr1);

@@ -125,14 +125,14 @@ int64_t ExecContext::output_numel(int i) const {
 
 GraphExecutor::GraphExecutor(std::shared_ptr<ag::CapturedGraph> graph,
                              ExecutorOptions opts)
-    : graph_(std::move(graph)), opts_(opts) {
+    : graph_(std::move(graph)) {
   if (graph_ == nullptr || graph_->nodes.empty()) {
     throw std::invalid_argument("GraphExecutor: empty capture");
   }
   {
     DOINN_TRACE_SCOPE("exec.plan", "exec", "nodes",
                       static_cast<int64_t>(graph_->nodes.size()));
-    if (opts_.fuse) fuse_epilogues();
+    fuse_epilogues();
 
     schedule_.clear();
     in_off_.clear();
@@ -149,9 +149,9 @@ GraphExecutor::GraphExecutor(std::shared_ptr<ag::CapturedGraph> graph,
     }
     live_nodes_ = static_cast<int64_t>(schedule_.size());
 
-    plan_arena(opts_.arena_seed);
+    plan_arena(opts.arena_seed);
   }
-  if (opts_.autotune) autotune(opts_.autotune_budget_ms);
+  if (opts.autotune) autotune();
 }
 
 GraphExecutor::~GraphExecutor() = default;
@@ -401,6 +401,9 @@ struct TuneChoice {
 // the identical plan.
 using TuneKey = std::tuple<bool, int, int64_t, int64_t, int64_t, int64_t>;
 
+// Wall-clock budget for the autotune pass, per executor build.
+constexpr int64_t kAutotuneBudgetMs = 250;
+
 std::mutex tune_mutex;
 std::map<TuneKey, TuneChoice>& tune_cache() {
   static std::map<TuneKey, TuneChoice> cache;
@@ -421,10 +424,10 @@ const char* bfeed_name(BFeed f) {
 
 }  // namespace
 
-void GraphExecutor::autotune(int64_t budget_ms) {
+void GraphExecutor::autotune() {
   DOINN_TRACE_SCOPE("exec.autotune", "exec");
   const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(budget_ms);
+                        std::chrono::milliseconds(kAutotuneBudgetMs);
 
   std::unique_ptr<ExecContext> ctx = acquire();
   // Benign fill: tuning replays run over whatever is in the arena, and

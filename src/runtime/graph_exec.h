@@ -1,6 +1,6 @@
 // Static-graph inference executor: replays a captured DOINN forward
 // (autograd/capture.h) as a flat list of kernel closures over one
-// arena-planned buffer, with optional epilogue fusion and load-time
+// arena-planned buffer, with epilogue fusion and optional load-time
 // per-shape autotuning.
 //
 // Pipeline per (input shape, precision):
@@ -70,12 +70,8 @@ std::shared_ptr<ag::CapturedGraph> capture_graph(
 bool froze_only_parameters(const ag::CapturedGraph& graph);
 
 struct ExecutorOptions {
-  /// Fold elementwise epilogue chains into conv GEMMs.
-  bool fuse = true;
   /// Benchmark per-shape kernel knobs at build time (otherwise defaults).
   bool autotune = false;
-  /// Wall-clock budget for the autotune pass, per executor build.
-  int64_t autotune_budget_ms = 250;
   /// Non-zero: shuffle the arena planner's allocation order with this seed
   /// (aliasing-safety tests — any order must produce a correct plan).
   uint64_t arena_seed = 0;
@@ -145,10 +141,9 @@ class GraphExecutor {
 
   void fuse_epilogues();
   void plan_arena(uint64_t seed);
-  void autotune(int64_t budget_ms);
+  void autotune();
 
   std::shared_ptr<ag::CapturedGraph> graph_;
-  ExecutorOptions opts_;
   // Execution schedule: indices of live nodes, in capture order.
   std::vector<int> schedule_;
   // Per scheduled node: offsets of its operand slices in a context's flat

@@ -14,7 +14,6 @@ namespace litho::runtime {
 
 namespace {
 
-thread_local bool this_thread_is_worker = false;
 /// Pool owning the worker this thread belongs to (nullptr off-pool). A
 /// parallel_for on the SAME pool from one of its workers runs inline
 /// (deadlock safety); a different pool's loop may still fan out.
@@ -73,7 +72,7 @@ ThreadPool::ThreadPool(int num_threads) {
   // A worker's startup allocates (its trace ring). Waiting for it here
   // keeps those allocations out of any later allocation-free window.
   std::unique_lock<std::mutex> lock(mutex_);
-  idle_.wait(lock, [this] { return started_ == size_ - 1; });
+  started_cv_.wait(lock, [this] { return started_ == size_ - 1; });
 }
 
 ThreadPool::~ThreadPool() {
@@ -81,7 +80,7 @@ ThreadPool::~ThreadPool() {
     std::unique_lock<std::mutex> lock(mutex_);
     stopping_ = true;
   }
-  task_ready_.notify_all();
+  job_ready_.notify_all();
   for (std::thread& w : workers_) w.join();
 }
 
@@ -116,80 +115,30 @@ void ThreadPool::run_job_chunks(ParallelJob& job) {
 }
 
 void ThreadPool::worker_loop() {
-  this_thread_is_worker = true;
   worker_owner = this;
   trace::set_thread_name("pool-worker");
   {
     std::unique_lock<std::mutex> lock(mutex_);
     ++started_;
   }
-  idle_.notify_all();
+  started_cv_.notify_all();
   for (;;) {
-    std::function<void()> task;
     ParallelJob* job = nullptr;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      task_ready_.wait(lock, [this] {
-        return stopping_ || !tasks_.empty() || runnable_job_locked() != nullptr;
+      job_ready_.wait(lock, [this] {
+        return stopping_ || runnable_job_locked() != nullptr;
       });
       job = runnable_job_locked();
-      if (job != nullptr) {
-        ++job->refs;
-      } else if (!tasks_.empty()) {
-        task = std::move(tasks_.front());
-        tasks_.pop();
-      } else {
-        return;  // stopping and drained
-      }
+      if (job == nullptr) return;  // stopping and drained
+      ++job->refs;
     }
-    if (job != nullptr) {
-      run_job_chunks(*job);
-      std::unique_lock<std::mutex> lock(mutex_);
-      if (--job->refs == 0 && job->finished == job->nchunks) {
-        job_done_.notify_all();
-      }
-      continue;
-    }
-    try {
-      ChunkScope chunk_scope(this);  // nested kernel loops target this pool
-      task();
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "ThreadPool: uncaught task exception: %s\n",
-                   e.what());
-    } catch (...) {
-      std::fprintf(stderr, "ThreadPool: uncaught task exception\n");
-    }
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      if (--in_flight_ == 0) idle_.notify_all();
-    }
-  }
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  if (size_ <= 1) {
-    // No workers: run inline so submit() still makes progress.
-    try {
-      task();
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "ThreadPool: uncaught task exception: %s\n",
-                   e.what());
-    } catch (...) {
-      std::fprintf(stderr, "ThreadPool: uncaught task exception\n");
-    }
-    return;
-  }
-  {
+    run_job_chunks(*job);
     std::unique_lock<std::mutex> lock(mutex_);
-    ++in_flight_;
-    tasks_.push(std::move(task));
+    if (--job->refs == 0 && job->finished == job->nchunks) {
+      job_done_.notify_all();
+    }
   }
-  task_ready_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::parallel_for(int64_t n, ParallelBody body, int64_t grain) {
@@ -204,9 +153,8 @@ void ThreadPool::parallel_for(int64_t n, ParallelBody body, int64_t grain) {
     return;
   }
 
-  // Even split with the first (n % chunks) chunks one element longer — the
-  // exact boundaries the task-per-chunk dispatch used, so results (which
-  // depend only on boundaries, chunks write disjoint ranges) are unchanged.
+  // Even split with the first (n % chunks) chunks one element longer.
+  // Results depend only on these boundaries: chunks write disjoint ranges.
   ParallelJob job(body);
   job.base = n / max_chunks;
   job.extra = n % max_chunks;
@@ -217,7 +165,7 @@ void ThreadPool::parallel_for(int64_t n, ParallelBody body, int64_t grain) {
     job.next_job = jobs_;
     jobs_ = &job;
   }
-  task_ready_.notify_all();
+  job_ready_.notify_all();
 
   // The submitting thread claims chunks alongside the workers.
   run_job_chunks(job);
@@ -247,7 +195,7 @@ int ThreadPool::default_num_threads() {
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-bool ThreadPool::in_worker_thread() { return this_thread_is_worker; }
+bool ThreadPool::in_worker_thread() { return worker_owner != nullptr; }
 
 ThreadPool& global_pool() {
   static ThreadPool pool(ThreadPool::default_num_threads());

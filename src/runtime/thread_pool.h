@@ -1,11 +1,11 @@
 // Inference runtime thread pool.
 //
-// A fixed-size pool of workers draining a single locked task queue, plus a
-// chunked static-partition parallel_for built on top of it. Design points:
+// A fixed-size pool of workers whose only work is chunked static-partition
+// parallel_for loops. Design points:
 //
 //  - Sizing: DOINN_NUM_THREADS env var wins, else
 //    std::thread::hardware_concurrency(). A size of 1 means "no workers":
-//    everything runs inline on the submitting thread.
+//    every loop runs inline on the submitting thread.
 //  - parallel_for(n, body) splits [0, n) into at most size() contiguous
 //    chunks and calls body(begin, end) once per chunk, so the body can keep
 //    per-chunk scratch buffers (im2col columns, FFT line buffers) alive
@@ -13,7 +13,7 @@
 //    never on scheduling, and chunks write disjoint ranges — results are
 //    bitwise deterministic for any thread count.
 //  - Nesting: a parallel_for issued from inside one of the SAME pool's
-//    workers runs inline (single chunk) instead of re-entering the queue,
+//    workers runs inline (single chunk) instead of broadcasting a new job,
 //    so data-level parallelism composes without deadlock. Workers also
 //    propagate their pool as the current_pool() override, so nested kernel
 //    loops target the pool executing them rather than the global pool.
@@ -27,9 +27,7 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -72,20 +70,12 @@ class ThreadPool {
   /// Parallelism degree (worker count + 1 for the submitting thread).
   int size() const { return size_; }
 
-  /// Enqueues @p task for asynchronous execution. Exceptions escaping the
-  /// task are swallowed after being reported to stderr; use parallel_for
-  /// when propagation matters.
-  void submit(std::function<void()> task);
-
-  /// Blocks until every task submitted so far has finished.
-  void wait_idle();
-
   /// Chunked static-partition loop over [0, n): body(begin, end) is invoked
   /// for at most min(size(), n / grain) contiguous chunks, each of at least
   /// @p grain iterations. Runs inline when that bound is one chunk,
-  /// size() == 1, or this thread is already executing this pool's work (a
-  /// worker task or a parallel_for chunk). Chunk *boundaries* depend only on
-  /// (n, size(), grain); which thread executes which chunk is dynamic (a
+  /// size() == 1, or this thread is already executing this pool's work (one
+  /// of its workers or a parallel_for chunk). Chunk *boundaries* depend only
+  /// on (n, size(), grain); which thread executes which chunk is dynamic (a
   /// stack-allocated job broadcast — no per-chunk heap traffic), which is
   /// invisible to results because chunks write disjoint ranges.
   void parallel_for(int64_t n, ParallelBody body, int64_t grain = 1);
@@ -108,14 +98,12 @@ class ThreadPool {
 
   int size_;
   std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> tasks_;
   mutable std::mutex mutex_;
-  std::condition_variable task_ready_;
-  std::condition_variable idle_;
+  std::condition_variable job_ready_;
   std::condition_variable job_done_;
+  std::condition_variable started_cv_;
   ParallelJob* jobs_ = nullptr;  // live parallel_for broadcasts (stack-owned)
-  int64_t in_flight_ = 0;  // queued + running tasks
-  int started_ = 0;        // workers past their startup (idle_ signals it)
+  int started_ = 0;  // workers past their startup (started_cv_ signals it)
   bool stopping_ = false;
 };
 

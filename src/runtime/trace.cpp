@@ -10,8 +10,6 @@
 
 namespace litho::runtime::trace {
 
-#if DOINN_TRACING_ENABLED
-
 namespace {
 
 constexpr size_t kDefaultRingCapacity = size_t{1} << 14;
@@ -372,16 +370,6 @@ std::string dump_json() {
   out += "]}\n";
   return out;
 }
-
-#else  // !DOINN_TRACING_ENABLED
-
-std::string dump_json() {
-  // Valid, loadable, empty trace so --trace-out keeps working in builds
-  // with the recorder compiled out.
-  return "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}\n";
-}
-
-#endif  // DOINN_TRACING_ENABLED
 
 bool write_json(const std::string& path) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);

@@ -10,9 +10,7 @@
 // form) loadable in chrome://tracing or https://ui.perfetto.dev, and
 // `scripts/trace_summary.py` validates + summarizes the same files.
 //
-// Overhead contract:
-//  - Configure-time off (-DDOINN_TRACING=OFF => DOINN_TRACING_ENABLED=0):
-//    every DOINN_TRACE_SCOPE and emit call compiles to nothing.
+// Overhead contract (the instrumentation is always compiled in):
 //  - Runtime off (the default): each instrumentation site costs one store
 //    and one predicted branch on a relaxed atomic load. No ring is ever
 //    allocated until a thread records its first event while enabled.
@@ -37,11 +35,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-// Set by CMake (option DOINN_TRACING); default on for plain compiles.
-#ifndef DOINN_TRACING_ENABLED
-#define DOINN_TRACING_ENABLED 1
-#endif
 
 namespace litho::runtime::trace {
 
@@ -81,8 +74,6 @@ struct ThreadEvents {
   uint64_t dropped = 0;
   std::vector<Event> events;
 };
-
-#if DOINN_TRACING_ENABLED
 
 /// True when runtime tracing is on (relaxed atomic load).
 bool enabled();
@@ -203,51 +194,12 @@ class ScopedSpan {
   Event ev_;  // ev_.name == nullptr => inert (disabled at construction)
 };
 
-#else  // !DOINN_TRACING_ENABLED — every call site compiles to nothing.
-
-inline constexpr bool enabled() { return false; }
-inline void set_enabled(bool) {}
-inline void reset(size_t = 0) {}
-inline int64_t now_ns() { return 0; }
-inline int64_t to_trace_ns(std::chrono::steady_clock::time_point) {
-  return 0;
-}
-inline void set_thread_name(const char*) {}
-inline void emit_span(const char*, const char*, int64_t, int64_t,
-                      std::initializer_list<ArgI> = {},
-                      const char* = nullptr, const char* = nullptr) {}
-inline void emit_async(const char*, const char*, uint64_t, int64_t, int64_t,
-                       std::initializer_list<ArgI> = {}) {}
-inline void emit_instant(const char*, const char*,
-                         std::initializer_list<ArgI> = {},
-                         const char* = nullptr, const char* = nullptr) {}
-inline std::vector<ThreadEvents> snapshot() { return {}; }
-std::string dump_json();  // valid empty trace document (trace.cpp)
-bool write_json(const std::string& path);
-
-class ScopedSpan {
- public:
-  ScopedSpan(const char*, const char*) {}
-  ScopedSpan(const char*, const char*, const char*, int64_t) {}
-  ScopedSpan(const char*, const char*, const char*, int64_t, const char*,
-             int64_t) {}
-  ScopedSpan(const char*, const char*, const char*, int64_t, const char*,
-             int64_t, const char*, int64_t) {}
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-  void arg(const char*, int64_t) {}
-  void sarg(const char*, const char*) {}
-};
-
-#endif  // DOINN_TRACING_ENABLED
-
 #define DOINN_TRACE_CONCAT_IMPL(a, b) a##b
 #define DOINN_TRACE_CONCAT(a, b) DOINN_TRACE_CONCAT_IMPL(a, b)
 /// Scoped span covering the rest of the enclosing block:
 ///   DOINN_TRACE_SCOPE("engine.predict_batch", "engine", "batch_size", n);
 /// Args: name, category, then up to 3 (const char* key, int64_t value)
-/// pairs. One branch when tracing is off at runtime; nothing at all when
-/// compiled out.
+/// pairs. One branch when tracing is off at runtime.
 #define DOINN_TRACE_SCOPE(...)                       \
   ::litho::runtime::trace::ScopedSpan DOINN_TRACE_CONCAT( \
       doinn_trace_scope_, __LINE__)(__VA_ARGS__)

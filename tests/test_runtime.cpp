@@ -43,27 +43,14 @@ Tensor random_mask(int64_t side, uint32_t seed) {
 
 // -- ThreadPool ---------------------------------------------------------------
 
-TEST(ThreadPool, SubmitRunsAllTasks) {
-  runtime::ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
 TEST(ThreadPool, SingleThreadPoolRunsInline) {
   runtime::ThreadPool pool(1);
   EXPECT_EQ(pool.size(), 1);
   int count = 0;  // no atomics needed: everything is inline
-  pool.submit([&count] { ++count; });
   pool.parallel_for(10, [&count](int64_t b, int64_t e) {
     count += static_cast<int>(e - b);
   });
-  pool.wait_idle();
-  EXPECT_EQ(count, 11);
+  EXPECT_EQ(count, 10);
 }
 
 TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
@@ -139,7 +126,7 @@ TEST(ThreadPool, NestedParallelForRunsInline) {
     }
     if (!runtime::ThreadPool::in_worker_thread()) return;
     // A nested loop issued from a worker must collapse to one inline chunk
-    // instead of re-entering the queue (deadlock safety).
+    // instead of broadcasting a new job (deadlock safety).
     nested_calls.fetch_add(1);
     int chunks = 0;  // inline => no races on this local
     pool.parallel_for(100, [&chunks](int64_t, int64_t) { ++chunks; });

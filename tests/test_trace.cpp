@@ -161,8 +161,6 @@ struct TraceSandbox {
   }
 };
 
-#if DOINN_TRACING_ENABLED
-
 TEST(Trace, DisabledRecorderEmitsNothing) {
   TraceSandbox sandbox;
   { DOINN_TRACE_SCOPE("t.noop", "test"); }
@@ -342,11 +340,8 @@ TEST(Trace, PredictBatchBitwiseIdenticalWithTracingEnabled) {
   EXPECT_EQ(forwards, 1u);
 }
 
-#endif  // DOINN_TRACING_ENABLED
-
-TEST(Trace, DumpJsonIsWellFormedEvenWhenCompiledOut) {
-  // Valid in both configure modes: DOINN_TRACING=OFF builds still produce
-  // a loadable empty trace document.
+TEST(Trace, DumpJsonIsWellFormed) {
+  // Whatever the rings hold, dump_json() returns a loadable trace document.
   const std::string json = trace::dump_json();
   EXPECT_TRUE(JsonChecker(json).valid()) << json;
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
