@@ -54,6 +54,7 @@
 #include <csignal>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "args.h"
@@ -112,7 +113,7 @@ void usage() {
       "       doinn_serve --models registry.txt [--default-model NAME]\n"
       "                   --listen <port> [tuning/observability flags]\n"
       "tuning: [--threads N] [--no-graph-exec] [--no-autotune]\n"
-      "        [--max-batch 8] [--max-delay-us 2000] [--adaptive-delay]\n"
+      "        [--max-batch 8] [--max-delay-us 2000]\n"
       "        [--queue-cap 64] [--idle-timeout-s 60]\n"
       "observability: [--trace-out trace.json] [--metrics-out m.json]\n"
       "Serves the framed TCP protocol (port 0 binds an ephemeral port,\n"
@@ -123,8 +124,7 @@ void usage() {
       "line); --weights serves one model named `default`. Replicas of a\n"
       "model share one set of prepacked weights; socket clients pick a\n"
       "model with the protocol-v2 model field (doinn_client --model).\n"
-      "--max-batch/--max-delay-us tune request coalescing; --adaptive-delay\n"
-      "derives the flush delay from the observed arrival rate; --queue-cap\n"
+      "--max-batch/--max-delay-us tune request coalescing; --queue-cap\n"
       "bounds each replica's queue (a full queue answers BUSY).\n"
       "--precision selects the inference storage precision (fp32 is\n"
       "bitwise-exact; an int8 model packs every conv int8: reduced\n"
@@ -189,11 +189,14 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-    if (args.has("int8-policy")) {
-      std::fprintf(stderr,
-                   "error: --int8-policy was removed; an int8 model packs "
-                   "every conv int8\n");
-      return 2;
+    const std::pair<const char*, const char*> retired[] = {
+        {"int8-policy", "an int8 model packs every conv int8"},
+        {"adaptive-delay", "a batch is held open for --max-delay-us"}};
+    for (const auto& [flag, instead] : retired) {
+      if (args.has(flag)) {
+        std::fprintf(stderr, "error: --%s was removed; %s\n", flag, instead);
+        return 2;
+      }
     }
     if (args.get_bool("help") ||
         (!args.has("weights") && !args.has("models")) || !args.has("listen")) {
@@ -222,7 +225,6 @@ int main(int argc, char** argv) {
     auto& sched_opts = pool_opts.scheduler;
     sched_opts.max_batch = static_cast<int>(args.get_positive_int("max-batch", 8));
     sched_opts.max_delay_us = args.get_int("max-delay-us", 2000);
-    sched_opts.adaptive_delay = args.get_bool("adaptive-delay");
     sched_opts.queue_cap = static_cast<int>(args.get_positive_int(
         "queue-cap", std::max(64, 8 * sched_opts.max_batch)));
     if (sched_opts.max_delay_us < 0) {
@@ -259,12 +261,11 @@ int main(int argc, char** argv) {
     }
     std::printf(
         "doinn_serve: %zu model%s [%s], default %s, %lld px tile, batch<=%d "
-        "within %lld us%s, queue cap %d per replica, kernels %s\n",
+        "within %lld us, queue cap %d per replica, kernels %s\n",
         specs.size(), specs.size() == 1 ? "" : "s", models_desc.c_str(),
         pool.default_model().c_str(),
         static_cast<long long>(pool.config("").tile), sched_opts.max_batch,
-        static_cast<long long>(sched_opts.max_delay_us),
-        sched_opts.adaptive_delay ? " (adaptive)" : "", sched_opts.queue_cap,
+        static_cast<long long>(sched_opts.max_delay_us), sched_opts.queue_cap,
         gemm_kernel_tier());
 
     net::ServerOptions server_opts;

@@ -227,7 +227,13 @@ void report(const char* name, double legacy_s, double fast_s) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int reps = argc > 1 ? std::atoi(argv[1]) : 5;
+  const int reps = argc == 1 ? 5
+                   : argc == 2 ? litho::bench::parse_reps(argv[1])
+                               : 0;
+  if (reps == 0) {
+    std::fprintf(stderr, "usage: bench_fft_micro [reps]\n");
+    return 2;
+  }
   litho::bench::banner("bench_fft_micro: plan cache + two-for-one real FFT");
   std::printf("threads=%d reps=%d\n\n",
               litho::runtime::ThreadPool::default_num_threads(), reps);

@@ -258,8 +258,9 @@ int main(int argc, char** argv) {
     if (std::string(argv[i]) == "--quick") {
       quick = true;
       reps = 1;
-    } else {
-      reps = std::atoi(argv[i]);
+    } else if ((reps = litho::bench::parse_reps(argv[i])) == 0) {
+      std::fprintf(stderr, "usage: bench_gemm_micro [reps] [--quick]\n");
+      return 2;
     }
   }
   litho::bench::banner("bench_gemm_micro: packed tiled GEMM + implicit im2col");

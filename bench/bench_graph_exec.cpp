@@ -179,8 +179,10 @@ int main(int argc, char** argv) {
       reps = 2;
     } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
       trace_out = argv[++i];
-    } else {
-      reps = std::atoi(argv[i]);
+    } else if ((reps = litho::bench::parse_reps(argv[i])) == 0) {
+      std::fprintf(stderr, "usage: bench_graph_exec [reps] [--quick] "
+                           "[--trace-out trace.json]\n");
+      return 2;
     }
   }
 

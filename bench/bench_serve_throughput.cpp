@@ -41,7 +41,7 @@
 // file that CI feeds through scripts/trace_summary.py.
 //
 // A fourth pass runs the same closed-loop clients through the TCP front
-// end (src/net/server.h over loopback, adaptive batching on), served as
+// end (src/net/server.h over loopback, default 2 ms batch hold), served as
 // doinn_serve --weights serves: a one-model, one-replica EnginePool loaded
 // from a checkpoint of the same weights. Every
 // contour must be byte-identical on the wire to the quantized serial
@@ -286,7 +286,6 @@ int main(int argc, char** argv) {
     spec.checkpoint = checkpoint;
     runtime::EnginePoolOptions pool_opts;
     pool_opts.scheduler = sched_opts;
-    pool_opts.scheduler.adaptive_delay = true;
     runtime::EnginePool pool({spec}, pool_opts);
     std::remove(checkpoint.c_str());
     net::Server server(pool, net::ServerOptions{});

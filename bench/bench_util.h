@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -33,6 +34,16 @@ inline void banner(const std::string& title) {
   std::printf("==============================================================\n");
   std::printf("%s\n", title.c_str());
   std::printf("==============================================================\n");
+}
+
+/// A positional repetition count: the whole of @p s as a decimal integer
+/// in [1, 1000000], else 0 — the caller then prints its usage and exits 2
+/// before timing or writing anything.
+inline int parse_reps(const char* s) {
+  char* end = nullptr;
+  const long v = std::strtol(s, &end, 10);
+  const bool ok = end != s && *end == '\0' && v >= 1 && v <= 1000000;
+  return ok ? static_cast<int>(v) : 0;
 }
 
 /// Wall-clock seconds spent in @p fn.

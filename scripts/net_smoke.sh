@@ -27,8 +27,8 @@
 #     int8 --no-autotune` byte for byte on a 128-px metal model where int8
 #     and fp32 references differ (the check fails if they never do);
 #   - retired inputs fail at startup with a message naming the
-#     replacement: `--precision bf16`, `--int8-policy`, and a registry line
-#     naming bf16.
+#     replacement: `--precision bf16`, `--int8-policy`, `--adaptive-delay`,
+#     and a registry line naming bf16.
 #
 # Usage: scripts/net_smoke.sh [build-dir]   (defaults to ./build)
 # Set DOINN_SMOKE_ARTIFACTS=<dir> to copy trace/metrics JSON and server
@@ -106,7 +106,7 @@ echo "== training two tiny models =="
 "$BUILD/doinn_cli" train --kind via --tile 64 --count 2 --epochs 2 \
   --out "$WORK/weights_b.bin"
 
-echo "== retired precision inputs are rejected at startup =="
+echo "== retired inputs are rejected at startup =="
 # expect_rejected <message regex> <doinn_serve args...>: the server must
 # exit nonzero before listening, naming the replacement in its message.
 expect_rejected() {
@@ -128,6 +128,8 @@ expect_rejected "expected fp32 or int8" --weights "$WORK/weights.bin" \
   --listen 0 --precision bf16
 expect_rejected "packs every conv int8" --weights "$WORK/weights.bin" \
   --listen 0 --int8-policy always
+expect_rejected "held open for --max-delay-us" --weights "$WORK/weights.bin" \
+  --listen 0 --adaptive-delay
 echo "gamma $WORK/weights.bin bf16 1" > "$WORK/bf16_registry.txt"
 expect_rejected "want fp32|int8" --models "$WORK/bf16_registry.txt" \
   --listen 0
@@ -154,7 +156,7 @@ LARGE_SEQ="A A A B A"
 
 echo "== starting doinn_serve --listen =="
 start_server "$WORK/server.log" --weights "$WORK/weights.bin" --listen 0 \
-  --adaptive-delay --trace-out "$WORK/trace.json" \
+  --trace-out "$WORK/trace.json" \
   --metrics-out "$WORK/metrics.json"
 
 echo "== driving the socket load =="

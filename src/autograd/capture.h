@@ -9,17 +9,22 @@
 // resolved buffer pointers. Op walk and replay share one arithmetic
 // implementation per op, so replay output is bitwise identical to the op
 // walk by construction (the executor still validates this per plan and
-// falls back when an uninstrumented op sneaks into a forward).
+// falls back when an uninstrumented op sneaks into a forward). The
+// elementwise ops (leaky_relu, tanh, eval-mode batch_norm2d) go one step
+// further: each is described by one EpiloguePostStage in its node's
+// NodeTuning and computed by apply_gemm_post (tensor/gemm.h) on the op
+// walk, on unfused replay and, once the executor folds the stage into the
+// producing conv, in that conv's GEMM epilogue.
 //
 // Slot semantics: a slot is one dense float buffer. Variables produced by
 // recorded nodes (or registered via add_input) map to planned slots; any
 // other Variable an op consumes is frozen as a constant slot that keeps the
 // underlying tensor storage alive. Weights and biases land here (eval-mode
-// BN statistics ride in their node's closure instead), which is correct
-// because the engine captures only eval-mode forwards whose parameters are
-// immutable for the plan lifetime. A frozen constant that is *not* a
-// requires_grad() parameter is the output of an op the recorder does not
-// know, computed from the capture input; the executor's
+// BN statistics ride in their node's NodeTuning::keepalive instead), which
+// is correct because the engine captures only eval-mode forwards whose
+// parameters are immutable for the plan lifetime. A frozen constant that is
+// *not* a requires_grad() parameter is the output of an op the recorder
+// does not know, computed from the capture input; the executor's
 // froze_only_parameters() check rejects such graphs.
 #pragma once
 
@@ -50,12 +55,15 @@ struct ReplayIO {
 using ReplayFn = std::function<void(const ReplayIO&)>;
 
 /// Mutable per-node knobs the planner and autotuner write after capture and
-/// the replay closure reads on every run: the fused epilogue chain plus the
-/// GEMM tuning choices. Conv closures hold this by shared_ptr so rewrites
-/// reach them without rebuilding the closure.
+/// the replay closure reads on every run: the elementwise stages plus the
+/// GEMM tuning choices. Closures hold this by shared_ptr so rewrites reach
+/// them without rebuilding the closure.
 struct NodeTuning {
-  std::vector<EpiloguePostStage> post;  // fused elementwise epilogue
-  std::vector<Tensor> keepalive;        // buffers the stages point into
+  // Elementwise stages (tensor/gemm.h), the only description of a leaky,
+  // tanh or eval-BN op: a stage node holds its own one stage, a conv the
+  // chain the fusion pass folded into its GEMM epilogue.
+  std::vector<EpiloguePostStage> post;
+  std::vector<Tensor> keepalive;  // buffers the stages point into
   // Shape-specialized im2col row decode (tensor/gemm.h), one Im2colStep
   // per logical B row, built once at capture time: replay packers gather
   // through it, and stride-1 convs feed the indirect micro-kernel from it.
@@ -72,23 +80,12 @@ struct NodeTuning {
   BFeed bfeed = BFeed::kAuto;           // B-feed strategy
 };
 
-/// Metadata of a fusable elementwise node (candidate epilogue stage).
-struct EwiseInfo {
-  enum class Kind : int8_t { kNone, kLeaky, kTanh, kBnEval };
-  Kind kind = Kind::kNone;
-  float slope = 0.f;  // kLeaky
-  // kBnEval per-channel arrays, frozen at capture time (eval statistics).
-  Tensor mu, inv_std, gamma, beta;
-  int64_t channels = 0;
-};
-
 /// Metadata of a GEMM-backed conv node, for the fusion pass (which may only
 /// append stages to non-transposed convs — transposed convs GEMM into
 /// column space before the col2im scatter) and the per-shape autotuner.
 struct ConvInfo {
   bool valid = false;
   bool transposed = false;
-  bool pointwise = false;  // 1x1 stride-1: B is strided-viewable
   int64_t m = 0, k = 0, l = 0, batch = 0;
   Precision prec = Precision::kFp32;
 };
@@ -97,9 +94,8 @@ struct CaptureNode {
   const char* kind = "";  // string literal, for traces and debugging
   std::vector<int> ins, outs;
   ReplayFn run;
-  std::shared_ptr<NodeTuning> tuning;  // conv nodes only
+  std::shared_ptr<NodeTuning> tuning;  // conv and elementwise-stage nodes
   ConvInfo conv;
-  EwiseInfo ewise;
   bool dead = false;  // set by the fusion pass when folded into a producer
 };
 
@@ -145,7 +141,7 @@ class GraphRecorder {
   void mark_output(const Variable& v);
 
   /// Appends a node for an op that read @p ins and wrote @p outs. Returns
-  /// the node so callers can attach ConvInfo / EwiseInfo / NodeTuning.
+  /// the node so callers can attach ConvInfo / NodeTuning.
   CaptureNode& record(const char* kind, const std::vector<Variable>& ins,
                       const std::vector<Variable>& outs, ReplayFn fn);
 

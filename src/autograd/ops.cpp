@@ -244,17 +244,6 @@ void add_core(const float* a, const float* b, float* o, int64_t n) {
   for (int64_t i = 0; i < n; ++i) o[i] = a[i] + b[i];
 }
 
-void leaky_core(const float* x, float* o, int64_t n, float slope) {
-  for (int64_t i = 0; i < n; ++i) {
-    const float v = x[i];
-    o[i] = v < 0.f ? v * slope : v;
-  }
-}
-
-void tanh_core(const float* x, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = std::tanh(x[i]);
-}
-
 void sigmoid_core(const float* x, float* o, int64_t n) {
   for (int64_t i = 0; i < n; ++i) o[i] = 1.f / (1.f + std::exp(-x[i]));
 }
@@ -279,21 +268,35 @@ void avg_pool_core(const float* x, float* o, int64_t planes, int64_t h,
   }
 }
 
-void bn_eval_core(const float* x, float* o, int64_t n, int64_t c,
-                  int64_t plane, const float* mu, const float* inv_std,
-                  const float* gamma, const float* beta) {
-  for (int64_t b = 0; b < n; ++b) {
-    for (int64_t ch = 0; ch < c; ++ch) {
-      const float* p = x + (b * c + ch) * plane;
-      float* op = o + (b * c + ch) * plane;
-      const float m = mu[ch], is = inv_std[ch];
-      const float ga = gamma[ch], be = beta[ch];
-      for (int64_t i = 0; i < plane; ++i) {
-        const float xh = (p[i] - m) * is;
-        op[i] = ga * xh + be;
-      }
-    }
+/// The core of leaky_relu, tanh and eval-mode batch_norm2d: runs @p st, by
+/// the loop a fused conv epilogue runs, over @p blocks consecutive
+/// row-major [rows x cols] blocks. A kBnAffine stage indexes its arrays by
+/// row, so BN passes a block per sample and a row per channel.
+void stage_core(const EpiloguePostStage& st, const float* x, float* o,
+                int64_t blocks, int64_t rows, int64_t cols) {
+  for (int64_t b = 0; b < blocks; ++b) {
+    const int64_t off = b * rows * cols;
+    apply_gemm_post(&st, 1, x + off, o + off, cols, rows, 0, cols);
   }
+}
+
+/// Records a stage node whose NodeTuning holds @p st and, in @p keep, the
+/// buffers it points into; GraphExecutor::fuse_epilogues may move both
+/// onto the producing conv.
+void record_stage(const char* kind, const Variable& x, const Variable& out,
+                  const EpiloguePostStage& st, std::vector<Tensor> keep,
+                  int64_t blocks, int64_t rows, int64_t cols) {
+  GraphRecorder* rec = active_recorder();
+  if (rec == nullptr) return;
+  auto tuning = std::make_shared<NodeTuning>();
+  tuning->post.push_back(st);
+  tuning->keepalive = std::move(keep);
+  CaptureNode& node = rec->record(
+      kind, {x}, {out}, [tuning, blocks, rows, cols](const ReplayIO& io) {
+        stage_core(tuning->post.front(), io.in(0), io.out(0), blocks, rows,
+                   cols);
+      });
+  node.tuning = std::move(tuning);
 }
 
 /// Executor plans of stride-1 fp32 convs at most this wide replay over a
@@ -532,8 +535,9 @@ Variable relu(const Variable& x) { return leaky_relu(x, 0.f); }
 
 Variable leaky_relu(const Variable& x, float negative_slope) {
   const int64_t numel = x.value().numel();
+  const EpiloguePostStage st{EpiloguePostStage::Kind::kLeaky, negative_slope};
   Tensor out(x.value().shape());
-  leaky_core(x.value().data(), out.data(), numel, negative_slope);
+  stage_core(st, x.value().data(), out.data(), 1, 1, numel);
   Variable out_v = Variable::make_node(
       std::move(out), {x}, [x, negative_slope](const Tensor& g) {
         Tensor gx = g.clone();
@@ -543,21 +547,15 @@ Variable leaky_relu(const Variable& x, float negative_slope) {
         }
         x.state()->accumulate(gx);
       });
-  if (GraphRecorder* rec = active_recorder()) {
-    CaptureNode& node = rec->record(
-        "leaky_relu", {x}, {out_v}, [numel, negative_slope](const ReplayIO& io) {
-          leaky_core(io.in(0), io.out(0), numel, negative_slope);
-        });
-    node.ewise.kind = EwiseInfo::Kind::kLeaky;
-    node.ewise.slope = negative_slope;
-  }
+  record_stage("leaky_relu", x, out_v, st, {}, 1, 1, numel);
   return out_v;
 }
 
 Variable tanh(const Variable& x) {
   const int64_t numel = x.value().numel();
+  const EpiloguePostStage st{EpiloguePostStage::Kind::kTanh};
   Tensor out(x.value().shape());
-  tanh_core(x.value().data(), out.data(), numel);
+  stage_core(st, x.value().data(), out.data(), 1, 1, numel);
   // Capture the forward output for the backward pass: d tanh = 1 - tanh^2.
   Tensor saved = out;
   Variable out_v =
@@ -568,13 +566,7 @@ Variable tanh(const Variable& x) {
         }
         x.state()->accumulate(gx);
       });
-  if (GraphRecorder* rec = active_recorder()) {
-    CaptureNode& node =
-        rec->record("tanh", {x}, {out_v}, [numel](const ReplayIO& io) {
-          tanh_core(io.in(0), io.out(0), numel);
-        });
-    node.ewise.kind = EwiseInfo::Kind::kTanh;
-  }
+  record_stage("tanh", x, out_v, st, {}, 1, 1, numel);
   return out_v;
 }
 
@@ -901,8 +893,6 @@ Variable conv2d_prepacked(const Variable& x, const Variable& w,
     node.tuning = tuning;
     node.conv.valid = true;
     node.conv.transposed = false;
-    node.conv.pointwise =
-        d.kh == 1 && d.kw == 1 && stride == 1 && padding == 0;
     node.conv.m = d.cout;
     node.conv.k = ckk;
     node.conv.l = d.oh * d.ow;
@@ -1108,33 +1098,22 @@ Variable batch_norm2d(const Variable& x, const Variable& gamma,
 
   if (!training && !GradMode::is_enabled()) {
     // No-grad eval fast path: normalize with frozen running statistics in a
-    // single pass — the xhat buffer only the backward needs is never
-    // materialized. Statement shapes mirror the general eval path exactly,
-    // so both produce identical bits.
+    // single kBnAffine pass — the xhat buffer only the backward needs is
+    // never materialized. The stage mirrors the general eval path's
+    // statements exactly, so both produce identical bits.
     Tensor mu = running_mean.clone();
     Tensor inv_std({c});
     for (int64_t ch = 0; ch < c; ++ch) {
       inv_std[ch] = 1.f / std::sqrt(running_var[ch] + eps);
     }
+    const EpiloguePostStage st{EpiloguePostStage::Kind::kBnAffine, 0.f,
+                               mu.data(), inv_std.data(),
+                               gamma.value().data(), beta.value().data()};
     Tensor out(x.value().shape());
-    bn_eval_core(x.value().data(), out.data(), n, c, plane, mu.data(),
-                 inv_std.data(), gamma.value().data(), beta.value().data());
+    stage_core(st, x.value().data(), out.data(), n, c, plane);
     Variable out_v(std::move(out));
-    if (GraphRecorder* rec = active_recorder()) {
-      Tensor ga = gamma.value(), be = beta.value();
-      CaptureNode& node = rec->record(
-          "bn_eval", {x}, {out_v},
-          [n, c, plane, mu, inv_std, ga, be](const ReplayIO& io) {
-            bn_eval_core(io.in(0), io.out(0), n, c, plane, mu.data(),
-                         inv_std.data(), ga.data(), be.data());
-          });
-      node.ewise.kind = EwiseInfo::Kind::kBnEval;
-      node.ewise.mu = mu;
-      node.ewise.inv_std = inv_std;
-      node.ewise.gamma = ga;
-      node.ewise.beta = be;
-      node.ewise.channels = c;
-    }
+    record_stage("bn_eval", x, out_v, st,
+                 {mu, inv_std, gamma.value(), beta.value()}, n, c, plane);
     return out_v;
   }
 

@@ -81,8 +81,6 @@ void Client::send_shutdown() {
   send_raw(frame.data(), frame.size());
 }
 
-void Client::shutdown_write() { ::shutdown(fd_, SHUT_WR); }
-
 Reply Client::read_reply() {
   uint8_t buf[65536];
   for (;;) {
@@ -157,7 +155,6 @@ void Client::send_raw(const void*, size_t) {}
 void Client::send_predict(uint64_t, const Tensor&) {}
 void Client::send_predict(uint64_t, const Tensor&, const std::string&) {}
 void Client::send_shutdown() {}
-void Client::shutdown_write() {}
 Reply Client::read_reply() { return {}; }
 Tensor Client::predict(uint64_t, const Tensor&) { return {}; }
 Tensor Client::predict(uint64_t, const Tensor&, const std::string&) {

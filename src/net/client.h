@@ -61,10 +61,6 @@ class Client {
   Tensor predict(uint64_t request_id, const Tensor& mask,
                  const std::string& model);
 
-  /// Half-closes the write side so the server sees EOF while replies can
-  /// still be read.
-  void shutdown_write();
-
  private:
   Tensor finish_predict(uint64_t request_id);
 

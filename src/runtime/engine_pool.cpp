@@ -197,13 +197,6 @@ bool EnginePool::has_model(const std::string& name) const {
   return by_name_.count(name.empty() ? default_model_ : name) != 0;
 }
 
-std::vector<std::string> EnginePool::model_names() const {
-  std::vector<std::string> names;
-  names.reserve(models_.size());
-  for (const auto& m : models_) names.push_back(m->name);
-  return names;
-}
-
 const core::DoinnConfig& EnginePool::config(const std::string& model) const {
   return resolve(model).replicas.front().engine->config();
 }

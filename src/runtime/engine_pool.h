@@ -117,8 +117,6 @@ class EnginePool {
 
   bool has_model(const std::string& name) const;
   const std::string& default_model() const { return default_model_; }
-  /// Registry order (routing-independent, stable for reporting).
-  std::vector<std::string> model_names() const;
   /// Checkpoint config of @p model ("" = default); requests above
   /// config().tile take the large-tile path on whichever replica wins.
   const core::DoinnConfig& config(const std::string& model) const;

@@ -189,9 +189,11 @@ void GraphExecutor::run(ExecContext& ctx) const {
 }
 
 // Folds single-consumer elementwise chains behind a non-transposed conv into
-// the conv's GEMM epilogue. Each folded stage is the standalone op's exact
-// per-element expression applied after the full K loop, so the fold changes
-// which loop walks the output but not a single bit of it.
+// the conv's GEMM epilogue by copying each stage node's EpiloguePostStage
+// (and its shared handles on the buffers the stage points into) onto the
+// conv. The op, its unfused
+// replay and the epilogue all run that stage through apply_gemm_post, so
+// the fold changes which loop walks the output but not a single bit of it.
 void GraphExecutor::fuse_epilogues() {
   ag::CapturedGraph& g = *graph_;
   auto is_graph_output = [&](int slot) {
@@ -223,48 +225,24 @@ void GraphExecutor::fuse_epilogues() {
         }
       }
       if (consumer < 0 || multi) break;
+      // An elementwise-stage node carries its one stage in its tuning. A
+      // kBnAffine stage indexes its arrays by channel, and the consumer
+      // reads this conv's [n, m, oh, ow] output, so its channels are the
+      // conv's GEMM rows.
       ag::CaptureNode& next = g.nodes[static_cast<size_t>(consumer)];
-      if (next.ewise.kind == ag::EwiseInfo::Kind::kNone ||
-          next.ins.size() != 1 || next.outs.size() != 1 ||
+      if (next.conv.valid || next.tuning == nullptr ||
+          next.tuning->post.size() != 1 || next.ins.size() != 1 ||
+          next.outs.size() != 1 ||
           g.slots[static_cast<size_t>(next.outs[0])].numel !=
               g.slots[static_cast<size_t>(slot)].numel) {
         break;
       }
 
-      EpiloguePostStage stage;
-      switch (next.ewise.kind) {
-        case ag::EwiseInfo::Kind::kLeaky:
-          stage.kind = EpiloguePostStage::Kind::kLeaky;
-          stage.slope = next.ewise.slope;
-          break;
-        case ag::EwiseInfo::Kind::kTanh:
-          stage.kind = EpiloguePostStage::Kind::kTanh;
-          break;
-        case ag::EwiseInfo::Kind::kBnEval: {
-          // Per-row affine: row index inside one sample's GEMM block is the
-          // output channel, so the channel count must match the GEMM M.
-          if (next.ewise.channels != conv.conv.m) break;
-          stage.kind = EpiloguePostStage::Kind::kBnAffine;
-          auto& keep = conv.tuning->keepalive;
-          keep.push_back(next.ewise.mu);
-          keep.push_back(next.ewise.inv_std);
-          keep.push_back(next.ewise.gamma);
-          keep.push_back(next.ewise.beta);
-          stage.mu = keep[keep.size() - 4].data();
-          stage.inv_std = keep[keep.size() - 3].data();
-          stage.gamma = keep[keep.size() - 2].data();
-          stage.beta = keep[keep.size() - 1].data();
-          break;
-        }
-        case ag::EwiseInfo::Kind::kNone:
-          break;
-      }
-      if (next.ewise.kind == ag::EwiseInfo::Kind::kBnEval &&
-          next.ewise.channels != conv.conv.m) {
-        break;  // the switch above bailed before filling the stage
-      }
-
-      conv.tuning->post.push_back(stage);
+      ag::NodeTuning& from = *next.tuning;
+      ag::NodeTuning& to = *conv.tuning;
+      to.post.push_back(from.post.front());
+      to.keepalive.insert(to.keepalive.end(), from.keepalive.begin(),
+                          from.keepalive.end());
       next.dead = true;
       ++fused_nodes_;
       // The conv now writes the chain's output slot directly; its original

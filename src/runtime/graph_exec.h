@@ -6,11 +6,13 @@
 // Pipeline per (input shape, precision):
 //   capture  — record the op walk once into a CapturedGraph (the engine
 //              drives this; see capture_graph below).
-//   fuse     — fold single-consumer elementwise chains (BN-eval affine,
-//              LeakyReLU, Tanh) that follow a non-transposed conv into the
-//              packed-GEMM epilogue (EpiloguePostStage). The fused stages
-//              run per column block after the full K loop, elementwise on
-//              finished accumulator values, so fusion is bitwise-neutral.
+//   fuse     — move the stages of single-consumer elementwise chains
+//              (BN-eval affine, LeakyReLU, Tanh) that follow a
+//              non-transposed conv into its packed-GEMM epilogue. Each
+//              stage node already holds its EpiloguePostStage, and the op
+//              walk, the unfused replay and the epilogue all run it through
+//              apply_gemm_post, so fusion is bitwise-neutral by
+//              construction.
 //   plan     — liveness analysis over slots, then greedy best-fit offset
 //              assignment into a single arena so disjoint-lifetime
 //              intermediates share memory. A node's scratch

@@ -115,28 +115,13 @@ std::optional<std::future<Tensor>> Scheduler::try_submit(Tensor mask,
 }
 
 /// Shared tail of submit()/try_submit(): requires mutex_ held and space in
-/// the queue. Updates the inter-arrival EWMA the adaptive-delay policy
-/// reads, queues the request, and wakes the dispatcher.
+/// the queue. Queues the request and wakes the dispatcher.
 std::future<Tensor> Scheduler::enqueue_locked(Tensor mask,
                                               uint64_t request_id) {
   Request req;
   req.mask = std::move(mask);
   req.enqueued = Clock::now();
   req.id = request_id;
-  if (last_arrival_ != Clock::time_point{}) {
-    // Gaps are clamped to the 60 s delay ceiling: one overnight pause must
-    // not poison the average for hours of subsequent traffic.
-    const double gap_us = std::min(
-        std::chrono::duration<double, std::micro>(req.enqueued -
-                                                  last_arrival_)
-            .count(),
-        60e6);
-    constexpr double kAlpha = 0.2;  // ~5-request memory
-    ewma_gap_us_ =
-        ewma_gap_us_ < 0 ? gap_us
-                         : (1.0 - kAlpha) * ewma_gap_us_ + kAlpha * gap_us;
-  }
-  last_arrival_ = req.enqueued;
   std::future<Tensor> future = req.promise.get_future();
   queue_.push_back(std::move(req));
   m_submitted_.add();
@@ -149,16 +134,6 @@ std::future<Tensor> Scheduler::enqueue_locked(Tensor mask,
   }
   work_cv_.notify_one();
   return future;
-}
-
-int64_t Scheduler::effective_delay_us_locked() const {
-  if (!opts_.adaptive_delay || ewma_gap_us_ < 0) return opts_.max_delay_us;
-  // Hold only as long as the rest of the batch plausibly needs to arrive
-  // at the observed rate; the configured max_delay_us stays the ceiling.
-  const double fill_us =
-      ewma_gap_us_ * static_cast<double>(opts_.max_batch - 1);
-  return std::min<int64_t>(opts_.max_delay_us,
-                           static_cast<int64_t>(fill_us));
 }
 
 void Scheduler::shutdown() {
@@ -262,14 +237,10 @@ void Scheduler::dispatch_loop() {
       work_cv_.wait(lock, [this] { return !queue_.empty() || draining_; });
       if (queue_.empty()) return;  // draining and nothing left
       // Hold the batch open until it fills, closes, or the oldest request
-      // hits its deadline. While draining, flush immediately. The delay is
-      // the configured max_delay_us, or — with adaptive_delay — the EWMA
-      // estimate of how long the rest of the batch needs to arrive,
-      // sampled once when the batch head is first observed.
-      const int64_t delay_us = effective_delay_us_locked();
-      m_effective_delay_us_.set(delay_us);
-      const auto deadline =
-          queue_.front().enqueued + std::chrono::microseconds(delay_us);
+      // has waited max_delay_us. While draining, flush immediately.
+      m_effective_delay_us_.set(opts_.max_delay_us);
+      const auto deadline = queue_.front().enqueued +
+                            std::chrono::microseconds(opts_.max_delay_us);
       work_cv_.wait_until(lock, deadline, [this] {
         if (draining_) return true;
         const FrontRun run = front_run_locked();

@@ -1,12 +1,14 @@
 // Dynamic-batching request scheduler for the serving runtime.
 //
-// The batched conv / FFT / GEMM kernels only pay off when they are fed
-// batches, but a serving front end receives requests one at a time. The
-// Scheduler sits between the two: clients hand it single masks and get a
-// std::future back; a dispatcher thread coalesces queued training-tile-sized
-// masks into InferenceEngine::predict_batch calls, flushing a batch as soon
-// as it is full (`max_batch`) or the oldest queued request has waited
-// `max_delay_us`. Oversized masks are routed to predict_large individually.
+// A serving front end receives requests one at a time, while
+// InferenceEngine::predict_batch runs a batch as per-sample batch-1 replays
+// across its pool lanes: a lone request runs with its kernels parallel
+// inside it, a batch keeps every lane on a whole sample. The Scheduler sits
+// between the two: clients hand it single masks and get a std::future
+// back; a dispatcher thread coalesces queued training-tile-sized masks into
+// predict_batch calls, flushing a batch as soon as it is full (`max_batch`)
+// or the oldest queued request has waited `max_delay_us`. Oversized masks
+// are routed to predict_large individually.
 //
 // Determinism: per-sample predict_batch results are bitwise identical to the
 // unbatched path (see InferenceEngine), so every coalescing pattern — any
@@ -56,17 +58,6 @@ struct SchedulerOptions {
   /// requests are queued and not yet handed to the engine; try_submit()
   /// rejects instead. Must be >= max_batch so a full batch can ever form.
   int queue_cap = 64;
-  /// Adaptive batching: when true, the dispatcher derives the effective
-  /// hold deadline from the observed inter-arrival rate instead of always
-  /// waiting the full max_delay_us. The effective delay is
-  ///   min(max_delay_us, (max_batch - 1) * ewma_interarrival)
-  /// — the time the rest of the batch plausibly needs to arrive. Under
-  /// backlog (fast arrivals) that collapses toward zero so partial batches
-  /// flush immediately; when arrivals are sparse it holds the full
-  /// max_delay_us ceiling hoping to coalesce. Batch composition never
-  /// affects results (the bitwise-determinism contract), so the policy
-  /// only trades latency against batch occupancy.
-  bool adaptive_delay = false;
   /// Registry the scheduler.* metrics are registered in. nullptr (the
   /// default) gives the scheduler a private registry, so concurrently
   /// live schedulers never mix counts; doinn_serve's engine pool passes
@@ -95,7 +86,7 @@ struct SchedulerStats {
   int64_t rejected = 0;         ///< try_submit() refusals (queue full / draining)
   int64_t max_queue_depth = 0;  ///< high-water mark of the bounded queue
   int64_t queue_depth = 0;      ///< requests queued right now
-  int64_t effective_delay_us = 0;  ///< hold deadline applied to the last batch
+  int64_t effective_delay_us = 0;  ///< hold deadline of the last batch (max_delay_us)
   /// Per-request wall time from submit() to promise fulfillment, including
   /// queueing delay. Percentiles are nearest-rank over the histogram's
   /// bounded reservoir; mean is exact over all completed requests. 0 when
@@ -198,7 +189,6 @@ class Scheduler {
 
   FrontRun front_run_locked() const;
   std::future<Tensor> enqueue_locked(Tensor mask, uint64_t request_id);
-  int64_t effective_delay_us_locked() const;
   void dispatch_loop();
   void fulfill(std::vector<Request>& batch, bool large);
   void record_outcome(const Request& req, Counter& counter);
@@ -227,10 +217,6 @@ class Scheduler {
   std::condition_variable space_cv_;    // submitters wait for queue space
   std::condition_variable shutdown_cv_; // late shutdown() callers wait here
   std::deque<Request> queue_;
-  // Inter-arrival EWMA feeding the adaptive-delay policy (guarded by
-  // mutex_; ewma < 0 means "no arrivals observed yet").
-  double ewma_gap_us_ = -1.0;
-  Clock::time_point last_arrival_{};
   bool draining_ = false;
   bool join_claimed_ = false;     // a shutdown() caller owns the join
   bool dispatcher_exited_ = false;

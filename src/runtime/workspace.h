@@ -147,6 +147,7 @@ class BasicWorkspace {
 
   /// The leased buffer; contents are unspecified on acquisition.
   T* data() { return buf_.data(); }
+  const T* data() const { return buf_.data(); }
   /// The size requested at construction (the buffer may be larger).
   size_t size() const { return n_; }
 

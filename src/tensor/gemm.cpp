@@ -82,7 +82,7 @@ void run_col_block(const PackedPanelsView* pa, GemmLayout layout,
         const float v = ep.bias ? ep.bias[i] : 0.f;
         for (int64_t j = j0; j < j1; ++j) c[i * n + j] = v;
       }
-      apply_gemm_post(ep, c, n, m, j0, j1);
+      apply_gemm_post(ep.post, ep.post_count, c, c, n, m, j0, j1);
     }
     return;
   }
@@ -288,34 +288,52 @@ void run_col_block(const PackedPanelsView* pa, GemmLayout layout,
       }
     }
   }
-  apply_gemm_post(ep, c, n, m, j0, j1);
+  apply_gemm_post(ep.post, ep.post_count, c, c, n, m, j0, j1);
+}
+
+// dst[j] = f(src[j]) over [j0, j1). Each case is a restrict-qualified loop
+// the compiler vectorizes as is; one loop over possibly-aliasing pointers
+// would get a runtime overlap check that sends the in-place epilogue down
+// its scalar fallback.
+template <typename F>
+inline void map_row(const float* src, float* dst, int64_t j0, int64_t j1,
+                    F f) {
+  if (src == dst) {
+    float* __restrict p = dst;
+    for (int64_t j = j0; j < j1; ++j) p[j] = f(p[j]);
+  } else {
+    const float* __restrict s = src;
+    float* __restrict d = dst;
+    for (int64_t j = j0; j < j1; ++j) d[j] = f(s[j]);
+  }
 }
 
 }  // namespace
 
-void apply_gemm_post(const GemmEpilogue& ep, float* c, int64_t n, int64_t m,
+void apply_gemm_post(const EpiloguePostStage* post, int count,
+                     const float* src, float* dst, int64_t n, int64_t m,
                      int64_t j0, int64_t j1) {
-  // Every stage runs over a row while it is still in L1. Each stage is a
-  // branch-free loop the compiler vectorizes, computing exactly the
-  // standalone op's per-element expression.
+  // Every stage runs over a row while it is still in L1, as a branch-free
+  // loop the compiler vectorizes.
   for (int64_t i = 0; i < m; ++i) {
-    float* __restrict row = c + i * n;
-    for (int s = 0; s < ep.post_count; ++s) {
-      const EpiloguePostStage& st = ep.post[s];
+    const float* in = src + i * n;
+    float* out = dst + i * n;
+    for (int s = 0; s < count; ++s, in = out) {
+      const EpiloguePostStage& st = post[s];
       switch (st.kind) {
         case EpiloguePostStage::Kind::kBnAffine: {
           const float mu = st.mu[i];
           const float is = st.inv_std[i];
           const float ga = st.gamma[i];
           const float be = st.beta[i];
-          for (int64_t j = j0; j < j1; ++j) {
-            const float xh = (row[j] - mu) * is;
-            row[j] = ga * xh + be;
-          }
+          map_row(in, out, j0, j1, [=](float v) {
+            const float xh = (v - mu) * is;
+            return ga * xh + be;
+          });
           break;
         }
         case EpiloguePostStage::Kind::kLeaky: {
-          // v * (v < 0 ? slope : 1) is the standalone op's value for every
+          // v * (v < 0 ? slope : 1) equals v < 0 ? v * slope : v for every
           // non-NaN v, signed zeros included. The factor is picked with a
           // bit mask: GCC will not if-convert a float select under its
           // default -ftrapping-math, and the branchy loop stays scalar.
@@ -323,18 +341,17 @@ void apply_gemm_post(const GemmEpilogue& ep, float* c, int64_t n, int64_t m,
           const float one = 1.f;
           std::memcpy(&slope_bits, &st.slope, sizeof slope_bits);
           std::memcpy(&one_bits, &one, sizeof one_bits);
-          for (int64_t j = j0; j < j1; ++j) {
-            const float v = row[j];
+          map_row(in, out, j0, j1, [=](float v) {
             const uint32_t neg = 0u - static_cast<uint32_t>(v < 0.f);
             const uint32_t bits = (slope_bits & neg) | (one_bits & ~neg);
             float factor;
             std::memcpy(&factor, &bits, sizeof factor);
-            row[j] = v * factor;
-          }
+            return v * factor;
+          });
           break;
         }
         case EpiloguePostStage::Kind::kTanh:
-          for (int64_t j = j0; j < j1; ++j) row[j] = std::tanh(row[j]);
+          map_row(in, out, j0, j1, [](float v) { return std::tanh(v); });
           break;
       }
     }
@@ -377,18 +394,13 @@ void StridedBPacker::pack(int64_t k0, int64_t k1, int64_t j0, int64_t j1,
 }
 
 PackedA::PackedA(GemmLayout layout, const float* a, int64_t m, int64_t k)
-    : buf_(runtime::FloatWorkspacePool::instance().acquire(
-          static_cast<size_t>(ceil_div(std::max<int64_t>(m, 1), MR) * MR *
-                              std::max<int64_t>(k, 1)))),
+    : buf_(static_cast<size_t>(ceil_div(std::max<int64_t>(m, 1), MR) * MR *
+                               std::max<int64_t>(k, 1))),
       m_(m),
       k_(k) {
   if (m > 0 && k > 0) {
     detail::pack_a_panels(layout, a, m, k, 0, m, 0, k, buf_.data());
   }
-}
-
-PackedA::~PackedA() {
-  runtime::FloatWorkspacePool::instance().release(std::move(buf_));
 }
 
 int64_t gemm_col_blocks(int64_t n) { return n > 0 ? ceil_div(n, kGemmNC) : 0; }

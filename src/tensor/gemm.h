@@ -37,7 +37,8 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+
+#include "runtime/workspace.h"
 
 namespace litho {
 
@@ -58,20 +59,20 @@ inline constexpr int64_t kGemmKC = 512;  // K step per packed panel
 inline constexpr int64_t kGemmMC = 64;   // A panel rows per pack
 inline constexpr int64_t kGemmNC = 256;  // columns per parallel block
 
-/// One fused elementwise stage applied to a finished column block, in
-/// order, after the final K step (and after bias). Each stage is the exact
-/// per-element expression of the standalone op it replaces — elementwise
-/// with no cross-element interaction, so fusing changes neither bits nor
-/// the determinism contract, only how many times the output is walked.
+/// One elementwise stage: the only description of the leaky-ReLU, tanh and
+/// eval-mode BatchNorm ops, whose op walk, unfused replay and fused GEMM
+/// epilogue (per finished column block, after the final K step and bias)
+/// all run apply_gemm_post. One loop per stage, no cross-element
+/// interaction: fusing changes no bit, only how often the output is walked.
 struct EpiloguePostStage {
   enum class Kind : int8_t {
-    kBnAffine,  // x -> gamma[i]*((x - mu[i]) * inv_std[i]) + beta[i]
+    kBnAffine,  // x -> gamma[i]*((x - mu[i]) * inv_std[i]) + beta[i], row i
     kLeaky,     // x -> x < 0 ? x * slope : x   (slope 0 == relu)
     kTanh,      // x -> std::tanh(x)
   };
   Kind kind = Kind::kLeaky;
   float slope = 0.f;  // kLeaky only
-  // kBnAffine per-row arrays (length M); caller keeps them alive.
+  // kBnAffine per-row (channel) arrays, kept alive by the owner.
   const float* mu = nullptr;
   const float* inv_std = nullptr;
   const float* gamma = nullptr;
@@ -122,10 +123,12 @@ struct GemmEpilogue {
   BFeed bfeed = BFeed::kAuto;
 };
 
-/// Applies ep.post (and nothing else) to rows [0,m) x columns [j0,j1) of a
-/// finished C block with row stride n. Shared by the fp32 engine and the
-/// int8 write-back in tensor/prepack.cpp.
-void apply_gemm_post(const GemmEpilogue& ep, float* c, int64_t n, int64_t m,
+/// Applies post[0..count) in order to rows [0,m) x columns [j0,j1) of a
+/// row-major block with row stride n, reading @p src first and @p dst
+/// after the first stage. src and dst are the same buffer (the fp32 and
+/// int8 GEMM epilogues) or do not overlap (the autograd ops and replay).
+void apply_gemm_post(const EpiloguePostStage* post, int count,
+                     const float* src, float* dst, int64_t n, int64_t m,
                      int64_t j0, int64_t j1);
 
 /// Supplies packed B micro-panels to the engine. pack() must fill @p dst
@@ -220,12 +223,12 @@ struct PackedPanelsView {
 /// A operand pre-packed into kGemmMR row panels, k-major, padded rows
 /// zero-filled. Pack once, reuse across many GEMMs against the same A —
 /// conv2d packs its weights once per call and shares them across every
-/// (sample, column block) task. The panel buffer is leased from the float
-/// workspace pool and returned on destruction.
+/// (sample, column block) task. The panel buffer is a FloatWorkspace
+/// lease, so it comes from the constructing thread's LeaseCache when one is
+/// installed (a replaying executor context) and the pool otherwise.
 class PackedA {
  public:
   PackedA(GemmLayout layout, const float* a, int64_t m, int64_t k);
-  ~PackedA();
   PackedA(const PackedA&) = delete;
   PackedA& operator=(const PackedA&) = delete;
 
@@ -241,7 +244,7 @@ class PackedA {
   }
 
  private:
-  std::vector<float> buf_;
+  runtime::FloatWorkspace buf_;
   int64_t m_, k_;
 };
 

@@ -143,7 +143,7 @@ void gemm_col_block_i8(const PackedWeight& a, const BPanelPacker& bp,
       const float v = bias ? bias[i] : 0.f;
       for (int64_t j = j0; j < j1; ++j) c[i * n + j] = v;
     }
-    apply_gemm_post(ep, c, n, m, j0, j1);
+    apply_gemm_post(ep.post, ep.post_count, c, c, n, m, j0, j1);
     return;
   }
   const int64_t mtiles = ceil_div(m, MR);
@@ -210,7 +210,7 @@ void gemm_col_block_i8(const PackedWeight& a, const BPanelPacker& bp,
       }
     }
   }
-  apply_gemm_post(ep, c, n, m, j0, j1);
+  apply_gemm_post(ep.post, ep.post_count, c, c, n, m, j0, j1);
 }
 
 }  // namespace litho

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
+
+#include "autograd/grad_mode.h"
 #include "autograd/ops.h"
 #include "autograd/ops_weighted.h"
 #include "autograd/spectral.h"
@@ -292,6 +298,106 @@ TEST(Gradcheck, BatchNormEval) {
         return mean(mul(y, y));
       },
       {x, gamma, beta});
+}
+
+// -- Elementwise stages ----------------------------------------------------------
+// leaky_relu, tanh and no-grad eval batch_norm2d compute through the one
+// stage loop a fused conv epilogue runs (tensor/gemm.h apply_gemm_post).
+// These tests pin that loop to each op's scalar definition, bit for bit.
+
+// Index of the first element whose bits differ, or -1.
+int64_t first_bit_mismatch(const float* a, const float* b, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) {
+    if (std::memcmp(a + i, b + i, sizeof(float)) != 0) return i;
+  }
+  return -1;
+}
+
+TEST(ElementwiseStage, LeakyMatchesScalarDefinitionBitwise) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kSub = std::numeric_limits<float>::denorm_min();
+  constexpr float kMin = std::numeric_limits<float>::min();
+  const float specials[] = {0.f,   -0.f,     1.f,      -1.f,     -2.5f,
+                            kInf,  -kInf,    kSub,     -kSub,    -7 * kSub,
+                            3e38f, -3e38f,   -1e-30f,  kMin / 2, -kMin / 2};
+  // Long enough for the vectorized body and a ragged tail.
+  std::vector<float> vals;
+  for (int rep = 0; rep < 5; ++rep) {
+    for (float v : specials) vals.push_back(rep % 2 == 0 ? v : 3.f * v);
+  }
+  const int64_t n = static_cast<int64_t>(vals.size());
+  const Tensor x({n}, vals);
+  for (float slope : {0.f, 0.01f, 0.2f, -0.5f}) {
+    std::vector<float> want;
+    for (float v : vals) want.push_back(v < 0 ? v * slope : v);
+    Tensor walked;
+    {
+      NoGradGuard no_grad;
+      walked = leaky_relu(Variable(x, false), slope).value();
+    }
+    const Tensor trained = leaky_relu(Variable(x, true), slope).value();
+    EXPECT_EQ(first_bit_mismatch(walked.data(), want.data(), n), -1)
+        << "slope " << slope;
+    EXPECT_EQ(first_bit_mismatch(trained.data(), want.data(), n), -1)
+        << "slope " << slope;
+  }
+}
+
+TEST(ElementwiseStage, TanhMatchesStdTanhBitwise) {
+  auto g = test::rng(41);
+  Tensor x = Tensor::randn({3, 37}, g, 0.f, 4.f);
+  x[0] = 0.f;
+  x[1] = -0.f;
+  x[2] = std::numeric_limits<float>::infinity();
+  x[3] = -std::numeric_limits<float>::infinity();
+  x[4] = std::numeric_limits<float>::denorm_min();
+  std::vector<float> want(static_cast<size_t>(x.numel()));
+  for (int64_t i = 0; i < x.numel(); ++i) want[i] = std::tanh(x[i]);
+  {
+    NoGradGuard no_grad;
+    const Tensor got = tanh(Variable(x, false)).value();
+    EXPECT_EQ(first_bit_mismatch(got.data(), want.data(), x.numel()), -1);
+  }
+  const Tensor got = tanh(Variable(x, true)).value();
+  EXPECT_EQ(first_bit_mismatch(got.data(), want.data(), x.numel()), -1);
+}
+
+TEST(ElementwiseStage, NoGradEvalBatchNormMatchesGradPathAndNaiveLoop) {
+  auto g = test::rng(42);
+  const int64_t n = 2, c = 3, h = 5, w = 7, plane = h * w;
+  const float eps = 1e-5f;
+  const Tensor xt = Tensor::randn({n, c, h, w}, g, 0.5f, 2.f);
+  Variable gamma(Tensor::rand({c}, g, 0.5f, 1.5f), true);
+  Variable beta(Tensor::randn({c}, g), true);
+  const Tensor rm = Tensor::randn({c}, g);
+  const Tensor rv = Tensor::rand({c}, g, 0.5f, 2.f);
+
+  Tensor naive({n, c, h, w});
+  for (int64_t b = 0; b < n; ++b) {
+    for (int64_t ch = 0; ch < c; ++ch) {
+      const float is = 1.f / std::sqrt(rv[ch] + eps);
+      for (int64_t i = 0; i < plane; ++i) {
+        const int64_t at = (b * c + ch) * plane + i;
+        const float xh = (xt[at] - rm[ch]) * is;
+        naive[at] = gamma.value()[ch] * xh + beta.value()[ch];
+      }
+    }
+  }
+
+  Tensor rm1 = rm.clone(), rv1 = rv.clone();
+  const Tensor graded =
+      batch_norm2d(Variable(xt, true), gamma, beta, rm1, rv1, false, 0.1f, eps)
+          .value();
+  Tensor fast;
+  {
+    NoGradGuard no_grad;
+    Tensor rm2 = rm.clone(), rv2 = rv.clone();
+    fast = batch_norm2d(Variable(xt, false), gamma, beta, rm2, rv2, false,
+                        0.1f, eps)
+               .value();
+  }
+  EXPECT_EQ(first_bit_mismatch(fast.data(), graded.data(), naive.numel()), -1);
+  EXPECT_EQ(first_bit_mismatch(fast.data(), naive.data(), naive.numel()), -1);
 }
 
 // -- Spectral ops -------------------------------------------------------------

@@ -1,9 +1,9 @@
 // Bitwise-determinism matrix: one fixed workload pushed through every
-// combination of {fp32, int8} x {1, 4 threads} x {graph executor on/off} x
-// {adaptive batching delay on/off} — 16 configurations. Within a
-// precision, every configuration must produce bitwise-identical contours —
-// thread count, executor compilation, and batching policy are latency
-// knobs only (the repo-wide determinism contract). Precisions legitimately
+// combination of {fp32, int8} x {1, 4 threads} x {graph executor on/off} —
+// 8 configurations. Within a precision, every configuration must produce
+// bitwise-identical contours — thread count, executor compilation, and
+// batch composition are latency knobs only (the repo-wide determinism
+// contract). Precisions legitimately
 // differ from each other, so each precision group has its own reference.
 #include <gtest/gtest.h>
 
@@ -40,14 +40,12 @@ struct MatrixPoint {
   Precision precision;
   int num_threads;
   bool graph_executor;
-  bool adaptive_delay;
 };
 
 std::string point_name(const MatrixPoint& p) {
   std::string s = precision_name(p.precision);
   s += p.num_threads == 1 ? "/t1" : "/t4";
   s += p.graph_executor ? "/graph" : "/opwalk";
-  s += p.adaptive_delay ? "/adaptive" : "/fixed";
   return s;
 }
 
@@ -60,12 +58,11 @@ std::vector<Tensor> run_point(const std::string& checkpoint,
   eng.num_threads = p.num_threads;
   eng.precision = p.precision;
   eng.use_graph_executor = p.graph_executor;
-  eng.autotune = false;  // bitwise-neutral; keeps 16 engine builds fast
+  eng.autotune = false;  // bitwise-neutral; keeps 8 engine builds fast
   runtime::InferenceEngine engine(checkpoint, eng);
 
   runtime::SchedulerOptions sched;
   sched.max_batch = 4;
-  sched.adaptive_delay = p.adaptive_delay;
   runtime::Scheduler scheduler(engine, sched);
 
   std::vector<std::future<Tensor>> futures;
@@ -89,8 +86,8 @@ TEST(DeterminismMatrix, EveryConfigurationIsBitwiseIdenticalPerPrecision) {
   }
 
   // Mixed-shape workload so batches of different compositions form: the
-  // scheduler only batches same-shape requests, and adaptive delay changes
-  // how partial batches flush — none of which may change a single bit.
+  // scheduler only batches same-shape requests — which may not change a
+  // single bit.
   std::vector<Tensor> workload;
   for (uint32_t seed = 1; seed <= 4; ++seed) {
     workload.push_back(random_mask(64, seed));
@@ -108,20 +105,18 @@ TEST(DeterminismMatrix, EveryConfigurationIsBitwiseIdenticalPerPrecision) {
     std::string reference_name;
     for (const int threads : {1, 4}) {
       for (const bool graph : {false, true}) {
-        for (const bool adaptive : {false, true}) {
-          const MatrixPoint p{precision, threads, graph, adaptive};
-          const std::vector<Tensor> got = run_point(checkpoint, p, workload);
-          ASSERT_EQ(got.size(), workload.size()) << point_name(p);
-          if (reference.empty()) {
-            reference = got;
-            reference_name = point_name(p);
-            continue;
-          }
-          for (size_t i = 0; i < got.size(); ++i) {
-            ASSERT_EQ(test::max_abs_diff(got[i], reference[i]), 0.f)
-                << point_name(p) << " request " << i << " differs from "
-                << reference_name;
-          }
+        const MatrixPoint p{precision, threads, graph};
+        const std::vector<Tensor> got = run_point(checkpoint, p, workload);
+        ASSERT_EQ(got.size(), workload.size()) << point_name(p);
+        if (reference.empty()) {
+          reference = got;
+          reference_name = point_name(p);
+          continue;
+        }
+        for (size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(test::max_abs_diff(got[i], reference[i]), 0.f)
+              << point_name(p) << " request " << i << " differs from "
+              << reference_name;
         }
       }
     }

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "autograd/grad_mode.h"
@@ -366,6 +367,47 @@ TEST(GraphExec, PrepadConvReplayMatchesOpWalk) {
       }
     }
   }
+}
+
+// -- Epilogue fusion ------------------------------------------------------------
+
+// Exact fusion coverage of DoinnConfig::small(): every leaky_relu, tanh and
+// bn_eval stage whose input is a conv output read by nothing else folds
+// into that conv's GEMM epilogue. The only one that cannot is the GP
+// path's output leaky, which reads the `add` of the spectral and bypass
+// branches.
+TEST(GraphExec, FusesEveryStageBehindAConvOnDoinnSmall) {
+  const core::DoinnConfig cfg = core::DoinnConfig::small();
+  auto rng = test::rng(5);
+  core::Doinn model(cfg, rng);
+  model.set_training(false);
+  model.prepack_forward(Precision::kFp32);
+  auto fwd = [&model](const ag::Variable& v) { return model.forward(v); };
+  const Tensor probe = Tensor::rand({1, 1, cfg.tile, cfg.tile}, rng);
+  std::shared_ptr<ag::CapturedGraph> graph = runtime::capture_graph(probe, fwd);
+  runtime::ExecutorOptions eo;
+  eo.autotune = false;
+  runtime::GraphExecutor exec(graph, eo);
+
+  int stages = 0;
+  std::vector<const ag::CaptureNode*> unfused;
+  for (const ag::CaptureNode& node : graph->nodes) {
+    const std::string kind = node.kind;
+    if (kind != "leaky_relu" && kind != "tanh" && kind != "bn_eval") continue;
+    ++stages;
+    ASSERT_NE(node.tuning, nullptr) << kind;
+    EXPECT_EQ(node.tuning->post.size(), 1u) << kind;
+    if (!node.dead) unfused.push_back(&node);
+  }
+  EXPECT_EQ(stages, 29);
+  EXPECT_EQ(exec.fused_nodes(), 28);
+  EXPECT_EQ(exec.live_nodes(), 37);
+  ASSERT_EQ(unfused.size(), 1u);
+  EXPECT_STREQ(unfused[0]->kind, "leaky_relu");
+  const int producer =
+      graph->slots[static_cast<size_t>(unfused[0]->ins[0])].producer;
+  ASSERT_GE(producer, 0);
+  EXPECT_STREQ(graph->nodes[static_cast<size_t>(producer)].kind, "add");
 }
 
 // -- Arena planning -----------------------------------------------------------

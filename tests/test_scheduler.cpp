@@ -337,49 +337,5 @@ TEST(Scheduler, TrySubmitAfterShutdownRejectsInsteadOfThrowing) {
   EXPECT_THROW(scheduler.try_submit(Tensor({2, 3, 4})), std::invalid_argument);
 }
 
-TEST(Scheduler, AdaptiveDelayKeepsResultsBitwiseIdentical) {
-  core::DoinnConfig cfg = tiny_config();
-  runtime::InferenceEngine engine(cfg, /*seed=*/81,
-                                  runtime::EngineOptions{/*num_threads=*/2});
-
-  constexpr size_t kRequests = 10;
-  std::vector<Tensor> masks;
-  std::vector<Tensor> expected;
-  for (uint32_t s = 0; s < kRequests; ++s) {
-    masks.push_back(random_mask(cfg.tile, 300 + s));
-    expected.push_back(engine.predict(masks.back()));
-  }
-
-  // Whatever batch shapes the adaptive flush policy produces under random
-  // arrival timing, results must stay bitwise equal to per-request predict
-  // — the policy only moves the flush point, never the math.
-  std::mt19937 timing_rng(29);
-  for (int trial = 0; trial < 3; ++trial) {
-    runtime::SchedulerOptions opts;
-    opts.max_batch = 4;
-    opts.max_delay_us = 2000;
-    opts.adaptive_delay = true;
-    runtime::Scheduler scheduler(engine, opts);
-    std::vector<unsigned> delays;
-    for (size_t i = 0; i < kRequests; ++i) {
-      delays.push_back(timing_rng() % 1500);
-    }
-    std::vector<std::future<Tensor>> futures;
-    for (size_t i = 0; i < kRequests; ++i) {
-      std::this_thread::sleep_for(std::chrono::microseconds(delays[i]));
-      futures.push_back(scheduler.submit(masks[i]));
-    }
-    for (size_t i = 0; i < kRequests; ++i) {
-      EXPECT_EQ(test::max_abs_diff(futures[i].get(), expected[i]), 0.f)
-          << "trial " << trial << " request " << i;
-    }
-    const runtime::SchedulerStats stats = scheduler.stats();
-    EXPECT_EQ(stats.completed, static_cast<int64_t>(kRequests));
-    // The effective delay is observable and never exceeds the ceiling.
-    EXPECT_GE(stats.effective_delay_us, 0);
-    EXPECT_LE(stats.effective_delay_us, opts.max_delay_us);
-  }
-}
-
 }  // namespace
 }  // namespace litho
