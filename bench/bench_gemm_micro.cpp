@@ -16,7 +16,9 @@
 // the speedup gates are >= 1.15x prepack and >= 2x int8 (>= 1.0x / 1.2x
 // under --quick, whose single rep is too noisy for the tight bounds). A
 // last row times the DOINN convr2 conv per call vs prepacked (the serving
-// path, indirect feed included), gated bitwise only. The JSON opens with
+// path, indirect feed included), gated bitwise only, and the same conv at
+// int8 against the prepacked fp32 one, gated bitwise against a naive
+// quantized reference (legacy::conv2d_int8). The JSON opens with
 // the host block (CPU, threads, kernel tier, build, git revision; see
 // bench_util.h) and names the dispatched micro-kernel tier ("kernel_tier").
 //
@@ -26,6 +28,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <random>
 #include <string>
@@ -155,6 +158,52 @@ litho::Tensor conv2d_forward(const litho::Tensor& x, const litho::Tensor& w,
   return out;
 }
 
+// Naive int8 conv2d: explicit zero-padded im2col of each sample quantized
+// with its own scale (lrintf(v * 127/max|x_s|) clamped to +-127, plus 128),
+// exact integer dots with the PackedWeight bytes, then
+// float(acc - 128*rowsum) * scale + bias — what the int8 engine must
+// reproduce bit for bit.
+litho::Tensor conv2d_int8(const litho::Tensor& x, const litho::PackedWeight& pw,
+                          const litho::Tensor& b, int64_t k, int64_t stride,
+                          int64_t padding) {
+  const int64_t n = x.size(0), cin = x.size(1), h = x.size(2), ww = x.size(3);
+  const int64_t cout = pw.m();
+  const int64_t oh = litho::ag::conv_out_size(h, k, stride, padding);
+  const int64_t ow = litho::ag::conv_out_size(ww, k, stride, padding);
+  const int64_t ckk = cin * k * k, l = oh * ow;
+  litho::Tensor out({n, cout, oh, ow});
+  std::vector<float> col(static_cast<size_t>(ckk * l));
+  std::vector<int32_t> q(static_cast<size_t>(ckk * l));
+  for (int64_t s = 0; s < n; ++s) {
+    const float* xs = x.data() + s * cin * h * ww;
+    float amax = 0.f;
+    for (int64_t i = 0; i < cin * h * ww; ++i) {
+      amax = std::max(amax, std::fabs(xs[i]));
+    }
+    const float inv = amax > 0.f ? 127.f / amax : 0.f;
+    im2col(xs, cin, h, ww, k, stride, padding, col.data());
+    for (size_t i = 0; i < col.size(); ++i) {
+      const long v = std::lrintf(col[i] * inv);
+      q[i] = static_cast<int32_t>(std::min(127L, std::max(-127L, v))) + 128;
+    }
+    for (int64_t i = 0; i < cout; ++i) {
+      const int8_t* panel = pw.i8_panel(i / litho::kGemmMR);
+      const int64_t r = i % litho::kGemmMR;
+      const float scale = pw.row_scales()[i] * (amax / 127.f);
+      for (int64_t j = 0; j < l; ++j) {
+        int32_t acc = 0;
+        for (int64_t kk = 0; kk < ckk; ++kk) {
+          acc += panel[(kk / 4) * litho::kGemmMR * 4 + r * 4 + kk % 4] *
+                 q[static_cast<size_t>(kk * l + j)];
+        }
+        out.data()[(s * cout + i) * l + j] =
+            static_cast<float>(acc - 128 * pw.row_sums()[i]) * scale + b[i];
+      }
+    }
+  }
+  return out;
+}
+
 // Seed per-mode complex contraction (serial bixy,ioxy->boxy loop).
 void cmode(int64_t bsz, int64_t ci, int64_t co, int64_t xy, const float* vr,
            const float* vi, const float* wr, const float* wi, float* zr,
@@ -231,7 +280,8 @@ void write_rows(FILE* f, const std::vector<Row>& rows, const char* base_key) {
 }
 
 void write_json(const char* path, double prepack_x, double int8_x,
-                double prepack_gate, double int8_gate, bool bitwise) {
+                double prepack_gate, double int8_gate, bool bitwise,
+                bool int8_conv_bitwise) {
   FILE* f = std::fopen(path, "w");
   if (!f) return;
   std::fprintf(f, "{\n  \"host\": %s,\n  \"kernel_tier\": \"%s\",\n"
@@ -243,9 +293,11 @@ void write_json(const char* path, double prepack_x, double int8_x,
   std::fprintf(f,
                "  ],\n  \"gates\": {\"prepack_fp32_speedup\": %.3f, "
                "\"prepack_fp32_min\": %.2f, \"int8_speedup\": %.3f, "
-               "\"int8_min\": %.2f, \"prepack_bitwise\": %s}\n}\n",
+               "\"int8_min\": %.2f, \"prepack_bitwise\": %s, "
+               "\"int8_conv_bitwise\": %s}\n}\n",
                prepack_x, prepack_gate, int8_x, int8_gate,
-               bitwise ? "true" : "false");
+               bitwise ? "true" : "false",
+               int8_conv_bitwise ? "true" : "false");
   std::fclose(f);
 }
 
@@ -427,7 +479,7 @@ int main(int argc, char** argv) {
   // is reported for scale but not gated (its packing cost is negligible,
   // so prepacking is only required not to regress it).
   double prepack_x = 1e30, int8_x = 1e30;
-  bool prec_bitwise = true;
+  bool prec_bitwise = true, int8_conv_bitwise = false;
   std::printf("\n%-26s %-18s %12s %12s %8s\n", "precision case", "shape",
               "base", "new", "speedup");
   {
@@ -473,16 +525,21 @@ int main(int argc, char** argv) {
       const litho::PackedWeight pw8(ps.layout, a.data(), ps.m, ps.k,
                                     litho::Precision::kInt8);
       std::vector<float> combined(ps.m);
+      std::vector<uint8_t> bq(static_cast<size_t>(ps.k * ps.n));
       const double t_i8 = best_seconds(reps, [&] {
-        // Per-call activation scan + scale fold, as conv2d_prepacked does.
+        // Per-call activation scan, scale fold and one quantization of B,
+        // as the int8 transposed conv does per sample.
         const float bmax = litho::max_abs(b.data(), ps.k * ps.n);
         const float inv_b = bmax > 0.f ? 127.f / bmax : 0.f;
         for (int64_t i = 0; i < ps.m; ++i) {
           combined[i] = pw8.row_scales()[i] * (bmax / 127.f);
         }
+        litho::quantize_plane_u8(b.data(), 1, ps.k * ps.n, 0, inv_b,
+                                 bq.data());
+        const litho::I8Source src = litho::I8Source::dense(bq.data(), ps.n);
         for (int64_t blk = 0; blk < blocks; ++blk) {
-          litho::gemm_col_block_i8(pw8, bp, inv_b, combined.data(), ps.n,
-                                   blk, c_i8.data(), nullptr);
+          litho::gemm_col_block_i8(pw8, src, combined.data(), ps.n, blk,
+                                   c_i8.data(), nullptr);
         }
       });
 
@@ -525,6 +582,23 @@ int main(int argc, char** argv) {
     report_prec("prepack fp32 conv2d convr2", "8x16x128^2->8", t_percall,
                 t_prepack);
     prec_bitwise = prec_bitwise && max_abs_diff(o_pc, o_pp) == 0.0;
+
+    // The same conv at int8 (each sample quantized once, bytes gathered
+    // through the im2col steps), timed against the prepacked fp32 conv and
+    // gated bitwise against the naive quantized reference.
+    const auto packed8 = std::make_shared<const litho::PackedWeight>(
+        litho::GemmLayout::kNN, w.data(), cout, cin * 9,
+        litho::Precision::kInt8);
+    Tensor o_i8;
+    const double t_i8 = best_seconds(reps, [&] {
+      o_i8 = litho::ag::conv2d_prepacked(xv, wv, packed8, bv, 1, 1).value();
+    });
+    report_prec("int8 conv2d convr2", "8x16x128^2->8", t_prepack, t_i8);
+    const Tensor o_ref = legacy::conv2d_int8(x, *packed8, bias, 3, 1, 1);
+    int8_conv_bitwise =
+        o_i8.numel() == o_ref.numel() &&
+        std::memcmp(o_i8.data(), o_ref.data(),
+                    sizeof(float) * static_cast<size_t>(o_ref.numel())) == 0;
   }
 
   // -- Parity and determinism gates ---------------------------------------
@@ -573,9 +647,12 @@ int main(int argc, char** argv) {
               "(>= %.2fx: %s)\n",
               int8_x, int8_gate, int8_x >= int8_gate ? "yes" : "NO");
   ok = ok && int8_x >= int8_gate;
+  std::printf("int8 conv2d bitwise identical to the naive reference: %s\n",
+              int8_conv_bitwise ? "yes" : "NO");
+  ok = ok && int8_conv_bitwise;
 
   write_json("BENCH_gemm.json", prepack_x, int8_x, prepack_gate, int8_gate,
-             prec_bitwise);
+             prec_bitwise, int8_conv_bitwise);
   std::printf("wrote BENCH_gemm.json (%zu + %zu rows)\n", g_rows.size(),
               g_prec.size());
   return ok ? 0 : 1;

@@ -1,7 +1,7 @@
 // bench_graph_exec — op-walk vs compiled static-graph-executor serving
 // comparison on the DOINN forward (runtime/graph_exec.h).
 //
-//   bench_graph_exec [reps] [--quick] [--trace-out trace.json]
+//   bench_graph_exec [pairs] [--quick] [--trace-out trace.json]
 //
 // Builds two fp32 engines over identical weights — one with the executor
 // disabled (per-op walk) and one with it enabled (arena-planned buffers,
@@ -14,9 +14,10 @@
 //     binary links the counting operator new from bench/alloc_count_new.cpp,
 //     observed through the engine.heap_allocs_per_batch gauge);
 //   - no plan fell back to the op walk (plan validation passed);
-//   - executor speedup >= 1.15x on the batched tile forward, both sides
-//     timed in alternating pairs (--quick keeps the same floor on the
-//     smaller model).
+//   - executor speedup >= 1.15x on the batched tile forward: the median,
+//     over at least 7 alternating pairs, of the per-pair op-walk/executor
+//     time ratio, so one contended pair cannot decide it (--quick keeps the
+//     same floor on the smaller model). Table rows are per-side medians.
 //
 // Tracing is enabled while the executor engine compiles and for the warmup
 // replays — so a --trace-out file carries the exec.capture / exec.plan /
@@ -38,6 +39,7 @@
 #include "runtime/alloc_hooks.h"
 #include "runtime/engine.h"
 #include "runtime/metrics_registry.h"
+#include "runtime/percentile.h"
 #include "runtime/trace.h"
 
 namespace {
@@ -63,26 +65,41 @@ void report(const std::string& op, const std::string& shape, double legacy_s,
               shape.c_str(), legacy_s * 1e3, new_s * 1e3, legacy_s / new_s);
 }
 
-// Best-of-@p reps times of @p walk and @p exec, taken in alternating pairs
-// (the order flips every rep) so both sides sample the same host load.
-struct BestPair {
-  double walk = 1e30, exec = 1e30;
+// Times of @p walk and @p exec over @p pairs alternating pairs (the order
+// flips every pair), so both runs of a pair sample the same host load.
+struct Pairs {
+  std::vector<double> walk, exec;
 };
 
 template <typename W, typename E>
-BestPair best_pair(int reps, W&& walk, E&& exec) {
-  BestPair b;
-  for (int i = 0; i < reps; ++i) {
+Pairs time_pairs(int pairs, W&& walk, E&& exec) {
+  Pairs p;
+  for (int i = 0; i < pairs; ++i) {
     if (i % 2 == 0) {
-      b.walk = std::min(b.walk, litho::bench::seconds(walk));
-      b.exec = std::min(b.exec, litho::bench::seconds(exec));
+      p.walk.push_back(litho::bench::seconds(walk));
+      p.exec.push_back(litho::bench::seconds(exec));
     } else {
-      b.exec = std::min(b.exec, litho::bench::seconds(exec));
-      b.walk = std::min(b.walk, litho::bench::seconds(walk));
+      p.exec.push_back(litho::bench::seconds(exec));
+      p.walk.push_back(litho::bench::seconds(walk));
     }
   }
-  return b;
+  return p;
 }
+
+double median(std::vector<double> v) {
+  return runtime::nearest_rank_percentile(std::move(v), 0.5);
+}
+
+// Median over pairs of walk / exec: one contended pair cannot decide it.
+double median_ratio(const Pairs& p) {
+  std::vector<double> r;
+  for (size_t i = 0; i < p.walk.size(); ++i) r.push_back(p.walk[i] / p.exec[i]);
+  return median(std::move(r));
+}
+
+// Alternating pairs per timed case: the default and the floor of the
+// pairs argument.
+constexpr int kMinPairs = 7;
 
 core::DoinnConfig bench_config(bool quick) {
   core::DoinnConfig cfg = core::DoinnConfig::small();  // 128 px tile
@@ -171,16 +188,15 @@ std::string json_rows() {
 
 int main(int argc, char** argv) {
   bool quick = false;
-  int reps = 5;
+  int reps = kMinPairs;
   std::string trace_out;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
-      reps = 2;
     } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
       trace_out = argv[++i];
     } else if ((reps = litho::bench::parse_reps(argv[i])) == 0) {
-      std::fprintf(stderr, "usage: bench_graph_exec [reps] [--quick] "
+      std::fprintf(stderr, "usage: bench_graph_exec [pairs] [--quick] "
                            "[--trace-out trace.json]\n");
       return 2;
     }
@@ -191,9 +207,10 @@ int main(int argc, char** argv) {
   const core::DoinnConfig cfg = bench_config(quick);
   const int64_t tile = cfg.tile;
   constexpr int kBatch = 8;
-  std::printf("tile=%lld threads=%d reps=%d%s\n\n",
+  const int pairs = std::max(reps, kMinPairs);
+  std::printf("tile=%lld threads=%d pairs=%d%s\n\n",
               static_cast<long long>(tile),
-              runtime::ThreadPool::default_num_threads(), reps,
+              runtime::ThreadPool::default_num_threads(), pairs,
               quick ? " (quick)" : "");
 
   bool ok = true;
@@ -277,29 +294,30 @@ int main(int argc, char** argv) {
   exec.predict_batch({masks[0]});
   std::snprintf(shape, sizeof shape, "1x1x%lldx%lld",
                 static_cast<long long>(tile), static_cast<long long>(tile));
-  const BestPair b1 =
-      best_pair(reps, [&] { walk.predict_batch({masks[0]}); },
-                [&] { exec.predict_batch({masks[0]}); });
-  report("forward tile batch1", shape, b1.walk, b1.exec);
+  const Pairs b1 =
+      time_pairs(pairs, [&] { walk.predict_batch({masks[0]}); },
+                 [&] { exec.predict_batch({masks[0]}); });
+  report("forward tile batch1", shape, median(b1.walk), median(b1.exec));
 
   std::snprintf(shape, sizeof shape, "%dx1x%lldx%lld", kBatch,
                 static_cast<long long>(tile), static_cast<long long>(tile));
-  const BestPair b8 = best_pair(reps, [&] { walk.predict_batch(masks); },
-                                [&] { exec.predict_batch(masks); });
-  report("forward tile batch8", shape, b8.walk, b8.exec);
+  const Pairs b8 = time_pairs(pairs, [&] { walk.predict_batch(masks); },
+                              [&] { exec.predict_batch(masks); });
+  report("forward tile batch8", shape, median(b8.walk), median(b8.exec));
 
   std::snprintf(shape, sizeof shape, "%lldx%lld (2x2 clips)",
                 static_cast<long long>(large_mask.size(0)),
                 static_cast<long long>(large_mask.size(1)));
-  const BestPair bl = best_pair(reps, [&] { walk.predict(large_mask); },
-                                [&] { exec.predict(large_mask); });
-  report("predict_large", shape, bl.walk, bl.exec);
+  const Pairs bl = time_pairs(pairs, [&] { walk.predict(large_mask); },
+                              [&] { exec.predict(large_mask); });
+  report("predict_large", shape, median(bl.walk), median(bl.exec));
 
-  const double headline = b8.walk / b8.exec;
+  const double headline = median_ratio(b8);
   const double gate = 1.15;
   std::printf(
-      "\nexecutor speedup (batch%d tile forward): %.2fx (>= %.2fx: %s)\n",
-      kBatch, headline, gate, headline >= gate ? "yes" : "NO");
+      "\nexecutor speedup (batch%d tile forward, median of %d pair ratios): "
+      "%.2fx (>= %.2fx: %s)\n",
+      kBatch, pairs, headline, gate, headline >= gate ? "yes" : "NO");
   ok = ok && headline >= gate;
 
   const int64_t arena_bytes =
@@ -311,10 +329,11 @@ int main(int argc, char** argv) {
   char gates[512];
   std::snprintf(gates, sizeof gates,
                 "    \"gates\": {\"executor_speedup\": %.3f, "
-                "\"executor_min\": %.2f, \"steady_state_heap_allocs\": %lld, "
+                "\"executor_min\": %.2f, \"pairs\": %d, "
+                "\"steady_state_heap_allocs\": %lld, "
                 "\"bitwise\": %s, \"plan_fallbacks\": %lld, "
                 "\"arena_bytes\": %lld}\n",
-                headline, gate, static_cast<long long>(steady_allocs),
+                headline, gate, pairs, static_cast<long long>(steady_allocs),
                 bitwise && large_bitwise ? "true" : "false",
                 static_cast<long long>(fallbacks),
                 static_cast<long long>(arena_bytes));

@@ -327,14 +327,84 @@ void pad_planes(const float* x, int64_t planes, int64_t h, int64_t w,
   });
 }
 
+/// The int8 half of conv2d_prepacked_run. Each sample's input is quantized
+/// once, with one scale per sample (127 / max|x_s|: it bounds every im2col
+/// entry, and max is order-independent, so nothing derived from it depends
+/// on the schedule), into u8 planes bordered with the zero-point 128. The
+/// GEMM then gathers im2col bytes from them: the bytes the zero-padded
+/// im2col would give if each entry were quantized after the gather. The
+/// planes live in @p scratch on replay and in a lease on the op walk, so
+/// replay allocates nothing.
+void conv2d_int8_run(const ConvDims& d, const PackedWeight& wp,
+                     const float* x, const float* bias, int64_t stride,
+                     int64_t padding, const GemmEpilogue& ep, float* scratch,
+                     float* out) {
+  const int64_t l = d.oh * d.ow;
+  const bool pointwise = d.kh == 1 && d.kw == 1 && stride == 1 && padding == 0;
+  const int64_t qh = d.h + 2 * padding, qw = d.w + 2 * padding;
+  const int64_t qplane = d.cin * qh * qw;  // bytes per sample
+  std::optional<runtime::Int8Workspace> qws;
+  if (scratch == nullptr) qws.emplace(static_cast<size_t>(d.n * qplane));
+  uint8_t* q = reinterpret_cast<uint8_t*>(
+      scratch != nullptr ? static_cast<void*>(scratch) : qws->data());
+  // Per channel plane: its max|x| (a large single sample still scans in
+  // parallel), then the sample's scale, then the bordered byte plane.
+  const int64_t planes = d.n * d.cin, hw = d.h * d.w;
+  runtime::FloatWorkspace ws(static_cast<size_t>(planes + d.n * (1 + d.cout)));
+  float* plane_max = ws.data();
+  float* inv = plane_max + planes;
+  float* scales = inv + d.n;
+  runtime::parallel_for(planes, [&](int64_t p0, int64_t p1) {
+    for (int64_t p = p0; p < p1; ++p) plane_max[p] = max_abs(x + p * hw, hw);
+  });
+  const float* rs = wp.row_scales();
+  for (int64_t s = 0; s < d.n; ++s) {
+    const float amax = max_abs(plane_max + s * d.cin, d.cin);
+    inv[s] = amax > 0.f ? 127.f / amax : 0.f;
+    const float bs = amax / 127.f;
+    for (int64_t i = 0; i < d.cout; ++i) scales[s * d.cout + i] = rs[i] * bs;
+  }
+  runtime::parallel_for(planes, [&](int64_t p0, int64_t p1) {
+    for (int64_t p = p0; p < p1; ++p) {
+      quantize_plane_u8(x + p * hw, d.h, d.w, padding, inv[p / d.cin],
+                        q + p * qh * qw);
+    }
+  });
+  const int64_t blocks = gemm_col_blocks(l, ep.nc);
+  runtime::parallel_for(d.n * blocks, [&](int64_t t0, int64_t t1) {
+    for (int64_t t = t0; t < t1; ++t) {
+      const int64_t s = t / blocks;
+      const uint8_t* qs = q + s * qplane;
+      const I8Source src =
+          pointwise ? I8Source::dense(qs, l)
+                    : I8Source{qs, d.kh, d.kw, qh, qw, stride, d.ow};
+      gemm_col_block_i8(wp, src, scales + s * d.cout, l, t % blocks,
+                        out + s * d.cout * l, bias, ep);
+    }
+  });
+}
+
 /// The conv2d_prepacked compute body: GEMM fan-out over (sample, column
 /// block) tasks. @p tuning (nullable) supplies the executor's fused
-/// epilogue chain, per-shape knobs and the prepad choice, whose bordered
-/// plane goes to @p scratch; none of them changes a bit.
+/// epilogue chain, per-shape knobs and the prepad choice; @p scratch holds
+/// the prepad's bordered plane (fp32) or the quantized planes (int8). None
+/// of them changes a bit.
 void conv2d_prepacked_run(const ConvDims& d, const PackedWeight& wp,
                           const float* x, const float* bias, int64_t stride,
                           int64_t padding, const NodeTuning* tuning,
                           float* scratch, float* out) {
+  GemmEpilogue ep;
+  ep.bias = bias;
+  if (tuning != nullptr) {
+    ep.post = tuning->post.data();
+    ep.post_count = static_cast<int>(tuning->post.size());
+    ep.nc = tuning->nc;
+    ep.bfeed = tuning->bfeed;
+  }
+  if (wp.precision() == Precision::kInt8) {
+    conv2d_int8_run(d, wp, x, bias, stride, padding, ep, scratch, out);
+    return;
+  }
   const int64_t l = d.oh * d.ow;
   const bool pointwise = d.kh == 1 && d.kw == 1 && stride == 1 && padding == 0;
   // Prepad: gather from a zero-bordered copy with padding 0. Every run on
@@ -350,14 +420,6 @@ void conv2d_prepacked_run(const ConvDims& d, const PackedWeight& wp,
     pad_planes(x, d.n * d.cin, d.h, d.w, padding, scratch);
     x = scratch;
   }
-  GemmEpilogue ep;
-  ep.bias = bias;
-  if (tuning != nullptr) {
-    ep.post = tuning->post.data();
-    ep.post_count = static_cast<int>(tuning->post.size());
-    ep.nc = tuning->nc;
-    ep.bfeed = tuning->bfeed;
-  }
   const int64_t blocks = gemm_col_blocks(l, ep.nc);
 
   // Im2col row table: the capture-time one on replay; the op walk builds
@@ -372,30 +434,6 @@ void conv2d_prepacked_run(const ConvDims& d, const PackedWeight& wp,
     steps = local_steps;
   }
 
-  // Per-sample activation scale for int8: max|x_s| over the whole sample
-  // bounds every im2col entry (padding gathers zeros), and max is
-  // order-independent, so the scale — and everything derived from it — does
-  // not depend on the schedule. Scratch is pooled: steady-state replay
-  // allocates nothing.
-  std::optional<runtime::FloatWorkspace> scales;
-  const float* inv_bscale = nullptr;
-  const float* combined = nullptr;
-  if (wp.precision() == Precision::kInt8) {
-    scales.emplace(static_cast<size_t>(d.n * (1 + d.cout)));
-    float* ib = scales->data();
-    float* cb = scales->data() + d.n;
-    const float* rs = wp.row_scales();
-    const int64_t plane = g.cin * g.h * g.w;
-    for (int64_t s = 0; s < d.n; ++s) {
-      const float amax = max_abs(x + s * plane, plane);
-      ib[s] = amax > 0.f ? 127.f / amax : 0.f;
-      const float bs = amax / 127.f;
-      for (int64_t i = 0; i < d.cout; ++i) cb[s * d.cout + i] = rs[i] * bs;
-    }
-    inv_bscale = ib;
-    combined = cb;
-  }
-
   runtime::parallel_for(d.n * blocks, [&](int64_t t0, int64_t t1) {
     for (int64_t t = t0; t < t1; ++t) {
       const int64_t s = t / blocks;
@@ -407,15 +445,7 @@ void conv2d_prepacked_run(const ConvDims& d, const PackedWeight& wp,
       const BPanelPacker& bp =
           pointwise ? static_cast<const BPanelPacker&>(direct)
                     : static_cast<const BPanelPacker&>(im);
-      switch (wp.precision()) {
-        case Precision::kFp32:
-          gemm_col_block(wp.fp32_view(), bp, l, blk, cs, ep);
-          break;
-        case Precision::kInt8:
-          gemm_col_block_i8(wp, bp, inv_bscale[s], combined + s * d.cout, l,
-                            blk, cs, bias, ep);
-          break;
-      }
+      gemm_col_block(wp.fp32_view(), bp, l, blk, cs, ep);
     }
   });
 }
@@ -423,11 +453,14 @@ void conv2d_prepacked_run(const ConvDims& d, const PackedWeight& wp,
 /// The conv_transpose2d_prepacked compute body: per-sample GEMM into a
 /// pooled column buffer, zero-filled output, col2im scatter, then bias.
 /// The explicit zero fill makes the core safe over arena buffers (the op
-/// walk relied on freshly zero-initialized Tensors).
+/// walk relied on freshly zero-initialized Tensors). At int8 each sample's
+/// input is quantized once into a dense [cin x l] byte copy, held in
+/// @p scratch on replay and leased on the op walk.
 void conv_transpose2d_prepacked_run(const ConvDims& d, const PackedWeight& wp,
                                     const float* x, const float* bias,
                                     int64_t stride, int64_t padding,
-                                    const NodeTuning* tuning, float* out) {
+                                    const NodeTuning* tuning, float* scratch,
+                                    float* out) {
   const int64_t ckk = d.cout * d.kh * d.kw;
   const int64_t l = d.h * d.w;
   const int64_t plane = d.oh * d.ow;
@@ -438,34 +471,38 @@ void conv_transpose2d_prepacked_run(const ConvDims& d, const PackedWeight& wp,
   }
   const int64_t blocks = gemm_col_blocks(l, ep.nc);
   runtime::FloatWorkspace col(static_cast<size_t>(ckk * l));
+  const bool int8 = wp.precision() == Precision::kInt8;
   std::optional<runtime::FloatWorkspace> scales;
-  if (wp.precision() == Precision::kInt8) {
+  std::optional<runtime::Int8Workspace> qws;
+  uint8_t* q = nullptr;
+  if (int8) {
     scales.emplace(static_cast<size_t>(ckk));
+    if (scratch == nullptr) qws.emplace(static_cast<size_t>(d.cin * l));
+    q = reinterpret_cast<uint8_t*>(
+        scratch != nullptr ? static_cast<void*>(scratch) : qws->data());
   }
   std::fill(out, out + d.n * d.cout * plane, 0.f);
   for (int64_t s = 0; s < d.n; ++s) {
     const float* xs = x + s * d.cin * l;
-    const StridedBPacker bp(xs, l, /*transposed=*/false);
-    float inv_bscale = 0.f;
-    if (wp.precision() == Precision::kInt8) {
+    if (int8) {
       const float amax = max_abs(xs, d.cin * l);
-      inv_bscale = amax > 0.f ? 127.f / amax : 0.f;
       const float bs = amax / 127.f;
       const float* rs = wp.row_scales();
       for (int64_t i = 0; i < ckk; ++i) scales->data()[i] = rs[i] * bs;
+      quantize_plane_u8(xs, 1, d.cin * l, 0, amax > 0.f ? 127.f / amax : 0.f,
+                        q);
     }
     runtime::parallel_for(blocks, [&](int64_t b0, int64_t b1) {
       for (int64_t blk = b0; blk < b1; ++blk) {
-        switch (wp.precision()) {
-          case Precision::kFp32:
-            gemm_col_block(wp.fp32_view(), bp, l, blk, col.data(), ep);
-            break;
-          case Precision::kInt8:
-            // Bias is applied after col2im (it belongs to the scattered
-            // output plane, not the column matrix).
-            gemm_col_block_i8(wp, bp, inv_bscale, scales->data(), l, blk,
-                              col.data(), /*bias=*/nullptr, ep);
-            break;
+        if (int8) {
+          // Bias is applied after col2im (it belongs to the scattered
+          // output plane, not the column matrix).
+          gemm_col_block_i8(wp, I8Source::dense(q, l), scales->data(), l, blk,
+                            col.data(), /*bias=*/nullptr, ep);
+        } else {
+          gemm_col_block(wp.fp32_view(),
+                         StridedBPacker(xs, l, /*transposed=*/false), l, blk,
+                         col.data(), ep);
         }
       }
     });
@@ -867,19 +904,24 @@ Variable conv2d_prepacked(const Variable& x, const Variable& w,
   Variable out_v(std::move(out));
   if (GraphRecorder* rec = active_recorder()) {
     auto tuning = std::make_shared<NodeTuning>();
-    tuning->prepad = wp->precision() == Precision::kFp32 && stride == 1 &&
-                     padding > 0 && d.ow <= kPrepadMaxWidth;
-    // Shape-specialized gather table: one decode per logical im2col row,
-    // amortized over every replay, for the geometry the replay walks.
-    ConvDims g = d;
-    if (tuning->prepad) {
-      g.h += 2 * padding;
-      g.w += 2 * padding;
-      tuning->scratch_floats = d.n * d.cin * g.h * g.w;
+    if (wp->precision() == Precision::kInt8) {
+      // The quantized, zero-point-bordered input planes (bytes).
+      tuning->scratch_floats =
+          (d.n * d.cin * (d.h + 2 * padding) * (d.w + 2 * padding) + 3) / 4;
+    } else {
+      tuning->prepad = stride == 1 && padding > 0 && d.ow <= kPrepadMaxWidth;
+      // Shape-specialized gather table: one decode per logical im2col row,
+      // amortized over every replay, for the geometry the replay walks.
+      ConvDims g = d;
+      if (tuning->prepad) {
+        g.h += 2 * padding;
+        g.w += 2 * padding;
+        tuning->scratch_floats = d.n * d.cin * g.h * g.w;
+      }
+      tuning->im2col.resize(static_cast<size_t>(ckk));
+      fill_im2col_steps(g, tuning->prepad ? 0 : padding,
+                        tuning->im2col.data());
     }
-    tuning->im2col.resize(static_cast<size_t>(ckk));
-    fill_im2col_steps(g, tuning->prepad ? 0 : padding,
-                      tuning->im2col.data());
     Tensor bias_t = has_bias ? b.value() : Tensor();
     std::shared_ptr<const PackedWeight> pack = wp;
     CaptureNode& node = rec->record(
@@ -919,10 +961,15 @@ Variable conv_transpose2d_prepacked(
   Tensor out({d.n, d.cout, d.oh, d.ow});
   conv_transpose2d_prepacked_run(d, *wp, x.value().data(),
                                  has_bias ? b.value().data() : nullptr, stride,
-                                 padding, /*tuning=*/nullptr, out.data());
+                                 padding, /*tuning=*/nullptr,
+                                 /*scratch=*/nullptr, out.data());
   Variable out_v(std::move(out));
   if (GraphRecorder* rec = active_recorder()) {
     auto tuning = std::make_shared<NodeTuning>();
+    if (wp->precision() == Precision::kInt8) {
+      // One sample's quantized input at a time (bytes).
+      tuning->scratch_floats = (d.cin * d.h * d.w + 3) / 4;
+    }
     Tensor bias_t = has_bias ? b.value() : Tensor();
     std::shared_ptr<const PackedWeight> pack = wp;
     CaptureNode& node = rec->record(
@@ -931,7 +978,7 @@ Variable conv_transpose2d_prepacked(
           conv_transpose2d_prepacked_run(
               d, *pack, io.in(0),
               bias_t.numel() > 0 ? bias_t.data() : nullptr, stride, padding,
-              tuning.get(), io.out(0));
+              tuning.get(), io.scratch, io.out(0));
         });
     node.tuning = tuning;
     node.conv.valid = true;

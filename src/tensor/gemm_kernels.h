@@ -85,16 +85,30 @@ struct KernelTable {
   // so pairing (which only reuses the A broadcasts) cannot change a bit.
   using I8PairFn = void (*)(int64_t kquads, const int8_t* ap,
                             const uint8_t* bp, int32_t* acc);
-  // Quantizes one packed float panel (klen x kGemmNR, k-major) into
-  // ceil(klen/4) k-quads of unsigned bytes in the I8Fn B layout:
-  // dst[(k/4)*32 + j*4 + k%4] = rne(v * inv_scale) + 128 (the shift keeps
-  // the value in [1, 255]; inv_scale = 127/max|B| bounds the rounded
-  // magnitude by 127, so nothing clips). Trailing k up to the quad boundary
-  // pads with the zero-point 128. Every tier rounds identically
-  // (cvtps2dq / lrintf under the default RNE mode), so the packed values do
-  // not depend on the dispatched table.
-  using I8QuantFn = void (*)(const float* src, int64_t klen, float inv_scale,
+  // Quantizes n floats of an activation plane into unsigned bytes,
+  // dst[i] = rne(clamp(src[i] * inv_scale, -127, 127)) + 128, in [1, 255].
+  // inv_scale = 127/max|x| keeps every finite product inside the clamp, so
+  // the clamp only pins NaN (to -127) and infinities; it is applied before
+  // rounding so every tier agrees on those too. Rounding is cvtps2dq /
+  // lrintf under the default RNE mode: the bytes do not depend on the
+  // dispatched table. A conv quantizes each sample's input once with this
+  // (the transposed and pointwise convs into a dense [cin x l] copy, the
+  // others into a plane bordered with the zero-point 128) and gathers
+  // bytes from it with i8_gather.
+  using I8QuantFn = void (*)(const float* src, int64_t n, float inv_scale,
                              uint8_t* dst);
+  // Builds one B tile in the I8Fn layout from quantized bytes: for k < klen
+  // and j < ncols, dst[(k/4)*32 + j*4 + k%4] = src[rows[k].off + j*cstride]
+  // — the indirect feed of add_pair_ind, for u8 k-quads. Lanes j >= ncols
+  // and the trailing k of the last quad hold the zero-point 128, which the
+  // write-back's row-sum correction cancels. ncols <= kGemmNR.
+  using I8GatherFn = void (*)(const uint8_t* src, const Im2colStep* rows,
+                              int64_t klen, int64_t cstride, int64_t ncols,
+                              uint8_t* dst);
+  // Largest |v| over n floats with NaNs skipped (0 for none): the value of
+  // the scalar loop `a = |v[i]|; if (a > m) m = a;` from m = +0, whatever
+  // the input. The per-sample activation scale of the int8 convs.
+  using MaxAbsFn = float (*)(const float* v, int64_t n);
 
   Fn add = nullptr;        // C (+)= A·B
   Fn sub = nullptr;        // C -= A·B
@@ -107,6 +121,8 @@ struct KernelTable {
   I8Fn i8 = nullptr;
   I8PairFn i8x2 = nullptr;
   I8QuantFn i8_quant = nullptr;
+  I8GatherFn i8_gather = nullptr;
+  MaxAbsFn max_abs = nullptr;
   const char* name = nullptr;  // tier: "baseline", "avx2" or "avxvnni"
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "runtime/trace.h"
@@ -37,12 +38,21 @@ Precision parse_precision(const std::string& name) {
 }
 
 float max_abs(const float* v, int64_t n) {
-  float m = 0.f;
-  for (int64_t i = 0; i < n; ++i) {
-    const float a = std::fabs(v[i]);
-    if (a > m) m = a;
+  return detail::kernels().max_abs(v, n);
+}
+
+void quantize_plane_u8(const float* x, int64_t h, int64_t w, int64_t pad,
+                       float inv_scale, uint8_t* dst) {
+  const detail::KernelTable& kern = detail::kernels();
+  const int64_t pw = w + 2 * pad;
+  std::memset(dst, 128, static_cast<size_t>(pad * pw));
+  for (int64_t y = 0; y < h; ++y) {
+    uint8_t* row = dst + (pad + y) * pw;
+    std::memset(row, 128, static_cast<size_t>(pad));
+    kern.i8_quant(x + y * w, w, inv_scale, row + pad);
+    std::memset(row + pad + w, 128, static_cast<size_t>(pad));
   }
-  return m;
+  std::memset(dst + (pad + h) * pw, 128, static_cast<size_t>(pad * pw));
 }
 
 namespace {
@@ -90,7 +100,7 @@ PackedWeight::PackedWeight(GemmLayout layout, const float* a, int64_t m,
   }
   // Symmetric per-output-row quantization (zero-point 0). All-zero
   // rows get scale 0 and quantize to 0. Rounding is nearest-even — the same
-  // mode the on-the-fly B quantizer uses. K is capped by the int32
+  // mode the activation quantizer uses. K is capped by the int32
   // accumulator budget of the micro-kernel (see KernelTable::I8Fn).
   if (k_ > (int64_t{1} << 16)) {
     throw std::invalid_argument(
@@ -126,61 +136,113 @@ PackedWeight::PackedWeight(GemmLayout layout, const float* a, int64_t m,
   }
 }
 
-void gemm_col_block_i8(const PackedWeight& a, const BPanelPacker& bp,
-                       float inv_b_scale, const float* combined_scales,
-                       int64_t n, int64_t block, float* c, const float* bias,
-                       const GemmEpilogue& ep) {
+namespace {
+
+// The Im2colStep rows [k0, k0 + klen) of @p b: row kk = (channel, ki, kj)
+// sits at channel*h*w + ki*w + kj from its output pixel's base.
+void source_rows(const I8Source& b, int64_t k0, int64_t klen,
+                 Im2colStep* dst) {
+  const int64_t taps = b.kh * b.kw;
+  int64_t ch = k0 / taps, ki = (k0 % taps) / b.kw, kj = k0 % b.kw;
+  for (int64_t kk = 0; kk < klen; ++kk) {
+    dst[kk] = {ch * b.h * b.w + ki * b.w + kj, static_cast<int32_t>(ki),
+               static_cast<int32_t>(kj)};
+    if (++kj == b.kw) {
+      kj = 0;
+      if (++ki == b.kh) {
+        ki = 0;
+        ++ch;
+      }
+    }
+  }
+}
+
+// Gathers the nr B columns from output pixel (oy, ox) on as one u8 tile at
+// @p dst. Columns on one output row are one i8_gather; a tile that crosses
+// output rows is gathered a row segment at a time through @p tmp and its
+// lanes spliced into place.
+void gather_tile(const detail::KernelTable& kern, const I8Source& b,
+                 const Im2colStep* rows, int64_t klen, int64_t oy, int64_t ox,
+                 int64_t nr, uint8_t* dst, uint8_t* tmp) {
+  const int64_t first = std::min(nr, b.ow - ox);
+  kern.i8_gather(b.base + (oy * b.w + ox) * b.stride, rows, klen, b.stride,
+                 first, dst);
+  const int64_t kq = (klen + 3) / 4;
+  for (int64_t j = first; j < nr;) {
+    const int64_t len = std::min(nr - j, b.ow);
+    kern.i8_gather(b.base + ++oy * b.w * b.stride, rows, klen, b.stride, len,
+                   tmp);
+    for (int64_t q = 0; q < kq; ++q) {
+      std::memcpy(dst + q * 32 + j * 4, tmp + q * 32,
+                  static_cast<size_t>(len * 4));
+    }
+    j += len;
+  }
+}
+
+// Columns [j0, j1) of C (row stride ldc) from B columns [j0, j1) of @p b.
+void i8_columns(const PackedWeight& a, const I8Source& b,
+                const float* combined_scales, int64_t j0, int64_t j1,
+                float* c, int64_t ldc, const float* bias,
+                const GemmEpilogue& ep) {
   const detail::KernelTable& kern = detail::kernels();
   const int64_t m = a.m(), k = a.k();
-  const int64_t nc = ep.nc > 0 ? ep.nc : kGemmNC;
-  const int64_t j0 = block * nc;
-  const int64_t j1 = std::min(j0 + nc, n);
   if (m <= 0 || j0 >= j1) return;
   DOINN_TRACE_SCOPE("gemm.col_block_i8", "gemm", "m", m, "k", k, "cols",
                     j1 - j0);
   if (k <= 0) {
     for (int64_t i = 0; i < m; ++i) {
       const float v = bias ? bias[i] : 0.f;
-      for (int64_t j = j0; j < j1; ++j) c[i * n + j] = v;
+      for (int64_t j = j0; j < j1; ++j) c[i * ldc + j] = v;
     }
-    apply_gemm_post(ep.post, ep.post_count, c, c, n, m, j0, j1);
+    apply_gemm_post(ep.post, ep.post_count, c, c, ldc, m, j0, j1);
     return;
   }
   const int64_t mtiles = ceil_div(m, MR);
-  // Two j-tiles at a time, K in kKC chunks: each chunk's quantized pair of
-  // B panels (u8 k-quads, see KernelTable::I8Fn) fits L1 and stays hot
-  // across the whole m extent, while partial sums park per m-tile in int32
-  // scratch — integer addition is exact, so the chunked schedule produces
-  // the same sums as one full-K pass. The write-back removes the +128
-  // activation shift (128 * weight row sum, integer) and converts once per
-  // element, handling ragged edges by skipping padded lanes. Padded B
-  // columns quantize to the zero-point 128, whose contribution the shift
-  // correction cancels exactly, so full tiles are always safe to compute.
+  // Two j-tiles at a time, K in kKC chunks: each chunk's pair of u8 B
+  // tiles (k-quads, see KernelTable::I8Fn) is gathered from the source
+  // bytes, fits L1 and stays hot across the whole m extent, while partial
+  // sums park per m-tile in int32 scratch — integer addition is exact, so
+  // the chunked schedule produces the same sums as one full-K pass. The
+  // write-back removes the +128 activation shift (128 * weight row sum,
+  // integer) and converts once per element, handling ragged edges by
+  // skipping padded lanes. Padded B lanes hold the zero-point 128, whose
+  // contribution the shift correction cancels exactly, so full tiles are
+  // always safe to compute.
   const int64_t ckq = kGemmKC / 4;  // k-quads per full chunk (4 | kKC)
-  runtime::FloatWorkspace fws(static_cast<size_t>(kGemmKC * NR));
-  runtime::Int8Workspace bq(static_cast<size_t>(2 * ckq * 32));
+  runtime::Int8Workspace bq(static_cast<size_t>(3 * ckq * 32));
   uint8_t* bq8 = reinterpret_cast<uint8_t*>(bq.data());
+  uint8_t* tmp = bq8 + 2 * ckq * 32;  // row-crossing tile segments
   runtime::Int8Workspace parkws(static_cast<size_t>(
       mtiles * MR * 2 * NR * static_cast<int64_t>(sizeof(int32_t))));
   int32_t* park = reinterpret_cast<int32_t*>(parkws.data());
+  Im2colStep rows[kGemmKC];
+  int64_t rows_k0 = -1;  // chunk whose rows are in `rows`
+  int64_t oy = j0 / b.ow, ox = j0 % b.ow;  // output pixel of the next tile
   const int64_t jt_count = ceil_div(j1 - j0, NR);
   for (int64_t t = 0; t < jt_count; t += 2) {
     const int64_t pair = std::min<int64_t>(2, jt_count - t);
     const int64_t c0 = j0 + t * NR;
-    int64_t nr[2] = {0, 0};
+    int64_t nr[2] = {0, 0}, ty[2] = {0, 0}, tx[2] = {0, 0};
     for (int64_t u = 0; u < pair; ++u) {
       nr[u] = std::min(NR, j1 - (c0 + u * NR));
+      ty[u] = oy;
+      tx[u] = ox;
+      for (ox += NR; ox >= b.ow; ox -= b.ow) ++oy;
     }
     std::fill(park, park + mtiles * MR * 2 * NR, 0);
     for (int64_t k0 = 0; k0 < k; k0 += kGemmKC) {
       const int64_t klen = std::min(kGemmKC, k - k0);
       const int64_t kq = (klen + 3) / 4;
+      if (rows_k0 != k0) {
+        source_rows(b, k0, klen, rows);
+        rows_k0 = k0;
+      }
+      // 4 divides kKC, so every chunk start is quad-aligned; only the
+      // final chunk can carry a ragged (zero-point-padded) trailing k.
       for (int64_t u = 0; u < pair; ++u) {
-        const int64_t cu = c0 + u * NR;
-        bp.pack(k0, k0 + klen, cu, cu + nr[u], fws.data());
-        // 4 divides kKC, so every chunk start is quad-aligned; only the
-        // final chunk can carry a ragged (zero-point-padded) trailing k.
-        kern.i8_quant(fws.data(), klen, inv_b_scale, bq8 + u * kq * 32);
+        gather_tile(kern, b, rows, klen, ty[u], tx[u], nr[u],
+                    bq8 + u * kq * 32, tmp);
       }
       for (int64_t it = 0; it < mtiles; ++it) {
         const int8_t* apan = a.i8_panel(it) + (k0 / 4) * MR * 4;
@@ -192,25 +254,62 @@ void gemm_col_block_i8(const PackedWeight& a, const BPanelPacker& bp,
         }
       }
     }
-    for (int64_t it = 0; it < mtiles; ++it) {
-      const int64_t r0 = it * MR;
-      const int64_t mr = std::min(MR, m - r0);
-      for (int64_t r = 0; r < mr; ++r) {
-        const int64_t i = r0 + r;
-        const float s = combined_scales[i];
-        const int32_t corr = 128 * a.row_sums()[i];
-        const int32_t* arow = park + (it * MR + r) * 2 * NR;
-        float* crow = c + i * n + c0;
-        for (int64_t u = 0; u < pair; ++u) {
-          for (int64_t j = 0; j < nr[u]; ++j) {
-            const float v = static_cast<float>(arow[u * NR + j] - corr) * s;
-            crow[u * NR + j] = bias ? v + bias[i] : v;
-          }
+    // Only the last tile can be ragged, so the pair's columns are one run
+    // in both the park rows and C.
+    const int64_t cols = nr[0] + nr[1];
+    for (int64_t i = 0; i < m; ++i) {
+      const float s = combined_scales[i];
+      const int32_t corr = 128 * a.row_sums()[i];
+      const int32_t* __restrict arow = park + i * 2 * NR;
+      float* __restrict crow = c + i * ldc + c0;
+      if (bias != nullptr) {
+        const float bi = bias[i];
+        for (int64_t j = 0; j < cols; ++j) {
+          crow[j] = static_cast<float>(arow[j] - corr) * s + bi;
+        }
+      } else {
+        for (int64_t j = 0; j < cols; ++j) {
+          crow[j] = static_cast<float>(arow[j] - corr) * s;
         }
       }
     }
   }
-  apply_gemm_post(ep.post, ep.post_count, c, c, n, m, j0, j1);
+  apply_gemm_post(ep.post, ep.post_count, c, c, ldc, m, j0, j1);
+}
+
+}  // namespace
+
+void gemm_col_block_i8(const PackedWeight& a, const I8Source& b,
+                       const float* combined_scales, int64_t n, int64_t block,
+                       float* c, const float* bias, const GemmEpilogue& ep) {
+  const int64_t nc = ep.nc > 0 ? ep.nc : kGemmNC;
+  const int64_t j0 = block * nc;
+  i8_columns(a, b, combined_scales, j0, std::min(j0 + nc, n), c, n, bias, ep);
+}
+
+void gemm_col_block_i8(const PackedWeight& a, const StridedBPacker& b,
+                       float inv_b_scale, const float* combined_scales,
+                       int64_t n, int64_t block, float* c, const float* bias,
+                       const GemmEpilogue& ep) {
+  const float* base = nullptr;
+  int64_t ld = 0;
+  if (!b.direct_view(&base, &ld)) {
+    throw std::invalid_argument(
+        "gemm_col_block_i8: the fp32 B operand must be stored k x n");
+  }
+  const int64_t nc = ep.nc > 0 ? ep.nc : kGemmNC;
+  const int64_t j0 = block * nc;
+  const int64_t cols = std::min(j0 + nc, n) - j0;
+  if (cols <= 0) return;
+  const int64_t k = a.k();
+  runtime::Int8Workspace q(static_cast<size_t>(std::max<int64_t>(k * cols, 1)));
+  uint8_t* q8 = reinterpret_cast<uint8_t*>(q.data());
+  const detail::KernelTable& kern = detail::kernels();
+  for (int64_t kk = 0; kk < k; ++kk) {
+    kern.i8_quant(base + kk * ld + j0, cols, inv_b_scale, q8 + kk * cols);
+  }
+  i8_columns(a, I8Source::dense(q8, cols), combined_scales, 0, cols, c + j0,
+             n, bias, ep);
 }
 
 }  // namespace litho

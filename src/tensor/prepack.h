@@ -13,13 +13,16 @@
 //    runs the unchanged fp32 engine, so results are bitwise identical to
 //    the per-call packing path — prepacking only removes work.
 //  - kInt8: weights are quantized per output row (symmetric, zero-point 0:
-//    scale[i] = max|row i| / 127) and stored as signed k-quads; im2col B
-//    panels are quantized on the fly with one dynamic per-sample scale
-//    (127 / max|sample|) into UNSIGNED bytes q+128 — the u8 x s8 layout
-//    vpdpbusd contracts four k per instruction. The micro-kernel
-//    accumulates in int32 — integer arithmetic is exact, so any summation
-//    schedule yields the same sums — then the write-back removes the
-//    128 * rowsum(weights) shift in integer math and applies
+//    scale[i] = max|row i| / 127) and stored as signed k-quads. Each
+//    sample's input is quantized once, with one dynamic per-sample scale
+//    (127 / max|sample|), into UNSIGNED bytes q+128 (I8Source), and the
+//    im2col B panels are gathered from those bytes as k-quads — the
+//    u8 x s8 layout vpdpbusd contracts four k per instruction. The scale
+//    covers the whole sample, so quantizing before the gather yields the
+//    bytes a gather of fp32 values quantized afterwards would. The
+//    micro-kernel accumulates in int32 — integer arithmetic is exact, so
+//    any summation schedule yields the same sums — then the write-back
+//    removes the 128 * rowsum(weights) shift in integer math and applies
 //    scale[i]*b_scale (+bias) in fp32. Bitwise deterministic for any
 //    thread count or batch split.
 //
@@ -103,28 +106,64 @@ class PackedWeight {
   std::vector<float> scales_;   // kInt8 per-row scales
 };
 
-/// One column block of C(f32) = dequant(A8 · quant(B)) [+ bias]: the int8
-/// inference GEMM. B is gathered in fp32 through @p bp, quantized with
-/// @p inv_b_scale (127/max|B|, or 0 for an all-zero operand) into unsigned
-/// +128-shifted k-quads (the kernels' native u8 x s8 panel format), and
-/// contracted against the prepacked int8 weight in int32, chunking K so
-/// the active B panels stay L1-resident (partial sums park in int32 —
-/// exact, so the chunking never changes a bit). The write-back removes the
-/// 128 * row_sums()[i] shift in integer math, then applies
-/// @p combined_scales (length m, row_scales[i] * b_scale) with optional
-/// @p bias in fp32. Thread-safe for distinct blocks; bitwise deterministic
-/// for any thread count (integer accumulation is exact).
-/// @p ep supplies only the fused post chain and tuning knobs (nc, bfeed is
-/// ignored here — the int8 path always gathers B); ep.bias is unused, bias
-/// comes in via @p bias because the int8 write-back needs it separate from
-/// the dequant scales.
-void gemm_col_block_i8(const PackedWeight& a, const BPanelPacker& bp,
+/// The B operand of the int8 GEMM, already quantized to unsigned bytes
+/// q+128 (KernelTable::I8QuantFn): one sample's input planes, in which
+/// every tap of every output pixel lies, so no gather needs a bounds check.
+/// Logical row kk = (channel, ki, kj) and column j = (oy, ox) read
+///   base[channel*h*w + (oy*stride + ki)*w + ox*stride + kj]
+/// with ox = j % ow, oy = j / ow. A conv passes its input bordered with
+/// the zero-point 128 (h, w the bordered extent, padding 0); a dense
+/// [k x n] operand (pointwise and transposed convs) is the 1x1 case
+/// I8Source::dense(base, n).
+struct I8Source {
+  const uint8_t* base = nullptr;
+  int64_t kh = 1, kw = 1;  // taps per channel
+  int64_t h = 1, w = 1;    // plane extent; w is the row pitch in bytes
+  int64_t stride = 1;
+  int64_t ow = 1;          // output pixels per output row
+  static I8Source dense(const uint8_t* base, int64_t n) {
+    return I8Source{base, 1, 1, 1, n, 1, n};
+  }
+};
+
+/// Quantizes one h x w plane with @p inv_scale (KernelTable::I8QuantFn)
+/// into the interior of the (h + 2*pad) x (w + 2*pad) byte plane at @p dst,
+/// bordered with the zero-point 128 — one channel of an I8Source.
+void quantize_plane_u8(const float* x, int64_t h, int64_t w, int64_t pad,
+                       float inv_scale, uint8_t* dst);
+
+/// One column block of C(f32) = dequant(A8 · B) [+ bias]: the int8
+/// inference GEMM. B tiles are gathered as unsigned k-quads (the kernels'
+/// native u8 x s8 panel format) straight from @p b and contracted against
+/// the prepacked int8 weight in int32, chunking K so the active B panels
+/// stay L1-resident (partial sums park in int32 — exact, so the chunking
+/// never changes a bit). The write-back removes the 128 * row_sums()[i]
+/// shift in integer math, then applies @p combined_scales (length m,
+/// row_scales[i] * b_scale) with optional @p bias in fp32. Thread-safe for
+/// distinct blocks; bitwise deterministic for any thread count (integer
+/// accumulation is exact).
+/// @p ep supplies only the fused post chain and the column-block width nc
+/// (bfeed is ignored — B always comes from the u8 source); ep.bias is
+/// unused, bias comes in via @p bias because the int8 write-back needs it
+/// separate from the dequant scales.
+void gemm_col_block_i8(const PackedWeight& a, const I8Source& b,
+                       const float* combined_scales, int64_t n, int64_t block,
+                       float* c, const float* bias,
+                       const GemmEpilogue& ep = {});
+
+/// Same over a dense row-major fp32 B (k x n, not transposed): the block's
+/// columns are quantized once with @p inv_b_scale (127/max|B|, or 0 for an
+/// all-zero operand) into a leased byte copy, then run as above. For
+/// callers holding an fp32 GEMM operand rather than a conv input.
+void gemm_col_block_i8(const PackedWeight& a, const StridedBPacker& b,
                        float inv_b_scale, const float* combined_scales,
                        int64_t n, int64_t block, float* c, const float* bias,
                        const GemmEpilogue& ep = {});
 
-/// Largest |v| over n floats (exact: max is order-independent, so callers
-/// may parallelize it without touching the determinism contract).
+/// Largest |v| over n floats, NaNs skipped (0 when every value is NaN or
+/// n == 0). Exact: max is order-independent, so the loop runs branch-free
+/// over several lanes and callers may parallelize it without touching the
+/// determinism contract.
 float max_abs(const float* v, int64_t n);
 
 }  // namespace litho

@@ -525,17 +525,19 @@ TEST(GraphExec, SteadyStateReplayAllocatesNothing) {
 // claim the lanes.
 TEST(GraphExec, LaneReplaysAllocateNothingAfterFirstBatch) {
   const core::DoinnConfig cfg = tiny_config();
-  runtime::InferenceEngine engine(cfg, 19,
-                                  engine_opts(Precision::kFp32, 3, true));
-  ASSERT_EQ(engine.plan_fallbacks(), 0);
   std::vector<Tensor> masks;
   for (uint32_t s = 0; s < 7; ++s) masks.push_back(random_mask(64, 50 + s));
-  engine.predict_batch(masks);
   auto& gauge =
       runtime::MetricsRegistry::global().gauge("engine.heap_allocs_per_batch");
-  for (int i = 0; i < 20; ++i) {
+  // Int8 convs keep their quantized input planes in arena scratch.
+  for (Precision p : {Precision::kFp32, Precision::kInt8}) {
+    runtime::InferenceEngine engine(cfg, 19, engine_opts(p, 3, true));
+    ASSERT_EQ(engine.plan_fallbacks(), 0);
     engine.predict_batch(masks);
-    EXPECT_EQ(gauge.value(), 0) << "batch " << i;
+    for (int i = 0; i < 20; ++i) {
+      engine.predict_batch(masks);
+      EXPECT_EQ(gauge.value(), 0) << precision_name(p) << " batch " << i;
+    }
   }
 }
 
