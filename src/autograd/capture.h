@@ -55,8 +55,8 @@ struct ReplayIO {
 using ReplayFn = std::function<void(const ReplayIO&)>;
 
 /// Mutable per-node knobs the planner and autotuner write after capture and
-/// the replay closure reads on every run: the elementwise stages plus the
-/// GEMM tuning choices. Closures hold this by shared_ptr so rewrites reach
+/// the replay closure reads on every run: the elementwise stages, the int8
+/// scratch size and the GEMM column-block width. Closures hold this by shared_ptr so rewrites reach
 /// them without rebuilding the closure.
 struct NodeTuning {
   // Elementwise stages (tensor/gemm.h), the only description of a leaky,
@@ -64,22 +64,10 @@ struct NodeTuning {
   // chain the fusion pass folded into its GEMM epilogue.
   std::vector<EpiloguePostStage> post;
   std::vector<Tensor> keepalive;  // buffers the stages point into
-  // Shape-specialized im2col row decode (tensor/gemm.h), one Im2colStep
-  // per logical B row, built once at capture time: replay packers gather
-  // through it, and stride-1 convs feed the indirect micro-kernel from it.
-  // Empty for transposed convs and int8 convs (their B source is the
-  // quantized input, tensor/prepack.h I8Source).
-  std::vector<Im2colStep> im2col;
-  // Stride-1 fp32 convs of narrow planes: replay copies the input into a
-  // zero-bordered plane in its scratch and runs unpadded, so the runs along
-  // the border feed the indirect micro-kernel too. Same gathered values,
-  // same bits; im2col then describes the bordered plane.
-  bool prepad = false;
   // Arena scratch the replay closure needs (ReplayIO::scratch), in floats:
-  // the prepad plane, or an int8 conv's quantized input bytes.
+  // an int8 conv's quantized input bytes.
   int64_t scratch_floats = 0;
-  int64_t nc = 0;                       // column-block width (0 = default)
-  BFeed bfeed = BFeed::kAuto;           // B-feed strategy
+  int64_t nc = 0;  // GEMM column-block width (0 = default)
 };
 
 /// Metadata of a GEMM-backed conv node, for the fusion pass (which may only

@@ -40,36 +40,20 @@ struct ConvDims {
 // -- Implicit im2col packers --------------------------------------------------
 // The packed GEMM engine pulls B micro-panels through these instead of a
 // materialized column matrix: each pack() gathers the requested window of
-// the logical im2col matrix straight from the (virtually padded) input
-// plane. Gathered values are exact copies, so conv results stay bitwise
-// identical to the explicit im2col + GEMM formulation.
+// the logical im2col matrix straight from the input. Gathered values are
+// exact copies, so conv results stay bitwise identical to the explicit
+// im2col + GEMM formulation.
 
-/// Fills dst[0, cin*kh*kw) with the conv's Im2colStep table, row order
-/// kk = (channel * kh + ki) * kw + kj — the packer's decode order.
-void fill_im2col_steps(const ConvDims& d, int64_t padding, Im2colStep* dst) {
-  for (int64_t c = 0; c < d.cin; ++c) {
-    for (int64_t ki = 0; ki < d.kh; ++ki) {
-      for (int64_t kj = 0; kj < d.kw; ++kj) {
-        const int64_t dy = ki - padding, dx = kj - padding;
-        *dst++ = {c * d.h * d.w + dy * d.w + dx, static_cast<int32_t>(dy),
-                  static_cast<int32_t>(dx)};
-      }
-    }
-  }
-}
-
-/// Logical B = im2col(x): row k = (channel, ki, kj), column j = (oy, ox).
+/// Logical B = im2col(x): row k = (channel, ki, kj), column j = (oy, ox),
+/// gathered from the (virtually padded) input plane with a bounds check
+/// per tap. The training conv2d forward and the conv_transpose2d input
+/// gradient use it; inference convs gather from a band (BandPacker).
 class Im2colPacker final : public BPanelPacker {
  public:
-  /// @p steps (nullable) is an Im2colStep table indexed by logical row kk
-  /// (fill_im2col_steps); with it, pack() skips the per-row channel/ki/kj
-  /// decode and a stride-1 conv offers the indirect feed. Same gathered
-  /// values either way.
   Im2colPacker(const float* x, int64_t h, int64_t w, int64_t k,
-               int64_t stride, int64_t padding, int64_t ow,
-               const Im2colStep* steps = nullptr)
+               int64_t stride, int64_t padding, int64_t ow)
       : x_(x), h_(h), w_(w), k_(k), stride_(stride), padding_(padding),
-        ow_(ow), steps_(steps) {}
+        ow_(ow) {}
 
   void pack(int64_t k0, int64_t k1, int64_t j0, int64_t j1,
             float* dst) const override {
@@ -95,23 +79,25 @@ class Im2colPacker final : public BPanelPacker {
       // to a straight vector copy.
       const bool one_row = oy[0] == oy[nr - 1];
       for (int64_t kk = k0; kk < k1; ++kk) {
-        const Im2colStep st = steps_ != nullptr ? steps_[kk] : step(kk);
+        const int64_t dx = kk % k_ - padding_;
+        const int64_t dy = (kk / k_) % k_ - padding_;
+        const float* plane = x_ + (kk / (k_ * k_)) * h_ * w_;
         float* d = p + (kk - k0) * kGemmNR;
         if (one_row && stride_ == 1) {
-          const int64_t iy = oy[0] + st.dy;
-          const int64_t ix0 = ox[0] + st.dx;
+          const int64_t iy = oy[0] + dy;
+          const int64_t ix0 = ox[0] + dx;
           if (iy >= 0 && iy < h_ && ix0 >= 0 && ix0 + nr <= w_) {
-            const float* src = x_ + (st.off + oy[0] * w_ + ox[0]);
+            const float* src = plane + iy * w_ + ix0;
             for (int64_t j = 0; j < nr; ++j) d[j] = src[j];
             for (int64_t j = nr; j < kGemmNR; ++j) d[j] = 0.f;
             continue;
           }
         }
         for (int64_t j = 0; j < nr; ++j) {
-          const int64_t iy = oy[j] * stride_ + st.dy;
-          const int64_t ix = ox[j] * stride_ + st.dx;
+          const int64_t iy = oy[j] * stride_ + dy;
+          const int64_t ix = ox[j] * stride_ + dx;
           d[j] = (iy >= 0 && iy < h_ && ix >= 0 && ix < w_)
-                     ? x_[st.off + (oy[j] * w_ + ox[j]) * stride_]
+                     ? plane[iy * w_ + ix]
                      : 0.f;
         }
         for (int64_t j = nr; j < kGemmNR; ++j) d[j] = 0.f;
@@ -119,36 +105,103 @@ class Im2colPacker final : public BPanelPacker {
     }
   }
 
-  const Im2colStep* indirect_rows() const override {
-    return stride_ == 1 ? steps_ : nullptr;
+ private:
+  const float* x_;
+  int64_t h_, w_, k_, stride_, padding_, ow_;
+};
+
+/// Logical B = im2col(x) for one column block of an inference conv, read
+/// from the block's band: the window of every input channel that the
+/// block's output pixels read, copied with zero padding (fill_band), so
+/// every tap lies inside the band and no read needs a bounds check. The
+/// band is bw wide, and its row 0 and column 0 are output row oy0's first
+/// tap row and padded column x0. Row kk of column j = (oy, ox) is
+/// band[rows[kk].off + (oy - oy0)*stride*bw + ox*stride - x0]. Stride-1
+/// runs that stay on one output row are read in place by the indirect
+/// micro-kernel; every other panel is packed by an offset copy.
+class BandPacker final : public BPanelPacker {
+ public:
+  BandPacker(const float* band, const Im2colStep* rows, int64_t bw,
+             int64_t stride, int64_t ow, int64_t oy0, int64_t x0)
+      : band_(band), rows_(rows), bw_(bw), stride_(stride), ow_(ow),
+        oy0_(oy0), x0_(x0) {}
+
+  void pack(int64_t k0, int64_t k1, int64_t j0, int64_t j1,
+            float* dst) const override {
+    const int64_t klen = k1 - k0;
+    const int64_t panels = (j1 - j0 + kGemmNR - 1) / kGemmNR;
+    for (int64_t t = 0; t < panels; ++t) {
+      float* p = dst + t * klen * kGemmNR;
+      const int64_t c0 = j0 + t * kGemmNR;
+      const int64_t nr = std::min(kGemmNR, j1 - c0);
+      // Each pixel's offset from the row table's origin, decoded once.
+      int64_t at[kGemmNR];
+      int64_t y = c0 / ow_, xo = c0 % ow_;
+      const bool run = stride_ == 1 && xo + nr <= ow_;
+      for (int64_t j = 0; j < nr; ++j) {
+        at[j] = (y - oy0_) * stride_ * bw_ + xo * stride_ - x0_;
+        if (++xo == ow_) {
+          xo = 0;
+          ++y;
+        }
+      }
+      for (int64_t kk = k0; kk < k1; ++kk) {
+        const float* src = band_ + rows_[kk].off;
+        float* d = p + (kk - k0) * kGemmNR;
+        if (run) {
+          for (int64_t j = 0; j < nr; ++j) d[j] = src[at[0] + j];
+        } else {
+          for (int64_t j = 0; j < nr; ++j) d[j] = src[at[j]];
+        }
+        for (int64_t j = nr; j < kGemmNR; ++j) d[j] = 0.f;
+      }
+    }
   }
 
-  /// A run of 2*kGemmNR pixels is in place when it stays on one output row
-  /// and every tap of every pixel lies inside the input plane; then row kk
-  /// of the run starts at x[off + oy*w + ox0].
+  const Im2colStep* indirect_rows() const override {
+    return stride_ == 1 ? rows_ : nullptr;
+  }
+
+  /// A stride-1 run of 2*kGemmNR pixels is in place when it stays on one
+  /// output row; row kk of the run then starts at
+  /// band[off + (oy - oy0)*bw + ox0 - x0].
   const float* indirect_base(int64_t j) const override {
-    const int64_t oy = j / ow_, ox0 = j % ow_;
-    const int64_t run = 2 * kGemmNR;
-    const bool inside = ox0 + run <= ow_ && oy - padding_ >= 0 &&
-                        oy - padding_ + k_ <= h_ && ox0 - padding_ >= 0 &&
-                        ox0 + run - 1 - padding_ + k_ <= w_;
-    return inside ? x_ + (oy * w_ + ox0) : nullptr;
+    const int64_t ox0 = j % ow_;
+    return ox0 + 2 * kGemmNR <= ow_
+               ? band_ + (j / ow_ - oy0_) * bw_ + ox0 - x0_
+               : nullptr;
   }
 
  private:
-  /// Row kk's step decoded from (channel, ki, kj), as fill_im2col_steps
-  /// builds it.
-  Im2colStep step(int64_t kk) const {
-    const int64_t dx = kk % k_ - padding_;
-    const int64_t dy = (kk / k_) % k_ - padding_;
-    return {(kk / (k_ * k_)) * h_ * w_ + dy * w_ + dx,
-            static_cast<int32_t>(dy), static_cast<int32_t>(dx)};
-  }
-
-  const float* x_;
-  int64_t h_, w_, k_, stride_, padding_, ow_;
-  const Im2colStep* steps_;
+  const float* band_;
+  const Im2colStep* rows_;
+  int64_t bw_, stride_, ow_, oy0_, x0_;
 };
+
+/// Copies the bh x bw window at input row iy0, column ix0 of each of @p cin
+/// h x w planes into @p band (cin planes of bh x bw), reading zero where
+/// the window leaves the plane: the conv's zero padding.
+void fill_band(const float* x, int64_t cin, int64_t h, int64_t w,
+               int64_t iy0, int64_t ix0, int64_t bh, int64_t bw,
+               float* band) {
+  // Band columns [a, b) lie inside the plane.
+  const int64_t a = std::clamp<int64_t>(-ix0, 0, bw);
+  const int64_t b = std::clamp<int64_t>(w - ix0, a, bw);
+  for (int64_t c = 0; c < cin; ++c) {
+    for (int64_t r = 0; r < bh; ++r) {
+      float* row = band + (c * bh + r) * bw;
+      const int64_t iy = iy0 + r;
+      if (iy < 0 || iy >= h) {
+        std::fill(row, row + bw, 0.f);
+        continue;
+      }
+      const float* src = x + (c * h + iy) * w + ix0;
+      std::fill(row, row + a, 0.f);
+      std::copy(src + a, src + b, row + a);
+      std::fill(row + b, row + bw, 0.f);
+    }
+  }
+}
 
 /// Logical B = im2col(x)ᵀ: row k = (oy, ox), column j = (channel, ki, kj).
 /// Backs the ABᵀ-shaped weight-gradient GEMM without materializing columns.
@@ -299,34 +352,6 @@ void record_stage(const char* kind, const Variable& x, const Variable& out,
   node.tuning = std::move(tuning);
 }
 
-/// Executor plans of stride-1 fp32 convs at most this wide replay over a
-/// zero-bordered copy of their input (NodeTuning::prepad). Per input
-/// channel and output row of a 3x3 conv, the two 2*kGemmNR-pixel runs that
-/// touch the border gather 9 * 2 * 16 = 288 floats, and the copy writes
-/// w + 2: up to here the copy is the cheaper one.
-constexpr int64_t kPrepadMaxWidth = 256;
-
-/// Copies @p planes planes of h x w into the interiors of zeroed
-/// (h + 2*pad) x (w + 2*pad) planes at @p dst.
-void pad_planes(const float* x, int64_t planes, int64_t h, int64_t w,
-                int64_t pad, float* dst) {
-  const int64_t pw = w + 2 * pad;
-  const int64_t pplane = (h + 2 * pad) * pw;
-  runtime::parallel_for(planes, [&](int64_t p0, int64_t p1) {
-    for (int64_t p = p0; p < p1; ++p) {
-      float* d = dst + p * pplane;
-      std::fill(d, d + pad * pw, 0.f);
-      for (int64_t y = 0; y < h; ++y) {
-        float* row = d + (pad + y) * pw;
-        std::fill(row, row + pad, 0.f);
-        std::copy(x + (p * h + y) * w, x + (p * h + y + 1) * w, row + pad);
-        std::fill(row + pad + w, row + pw, 0.f);
-      }
-      std::fill(d + (pad + h) * pw, d + pplane, 0.f);
-    }
-  });
-}
-
 /// The int8 half of conv2d_prepacked_run. Each sample's input is quantized
 /// once, with one scale per sample (127 / max|x_s|: it bounds every im2col
 /// entry, and max is order-independent, so nothing derived from it depends
@@ -386,9 +411,10 @@ void conv2d_int8_run(const ConvDims& d, const PackedWeight& wp,
 
 /// The conv2d_prepacked compute body: GEMM fan-out over (sample, column
 /// block) tasks. @p tuning (nullable) supplies the executor's fused
-/// epilogue chain, per-shape knobs and the prepad choice; @p scratch holds
-/// the prepad's bordered plane (fp32) or the quantized planes (int8). None
-/// of them changes a bit.
+/// epilogue chain and column-block width; @p scratch holds an int8 conv's
+/// quantized planes. Neither changes a bit. An fp32 task copies the input
+/// rows its block reads into a leased band (fill_band) and gathers from
+/// it; pointwise convs read their input in place.
 void conv2d_prepacked_run(const ConvDims& d, const PackedWeight& wp,
                           const float* x, const float* bias, int64_t stride,
                           int64_t padding, const NodeTuning* tuning,
@@ -399,53 +425,48 @@ void conv2d_prepacked_run(const ConvDims& d, const PackedWeight& wp,
     ep.post = tuning->post.data();
     ep.post_count = static_cast<int>(tuning->post.size());
     ep.nc = tuning->nc;
-    ep.bfeed = tuning->bfeed;
   }
   if (wp.precision() == Precision::kInt8) {
     conv2d_int8_run(d, wp, x, bias, stride, padding, ep, scratch, out);
     return;
   }
   const int64_t l = d.oh * d.ow;
+  const int64_t ckk = d.cin * d.kh * d.kw;
   const bool pointwise = d.kh == 1 && d.kw == 1 && stride == 1 && padding == 0;
-  // Prepad: gather from a zero-bordered copy with padding 0. Every run on
-  // one output row is then interior and feeds the indirect micro-kernel;
-  // the values gathered, zeros included, are the ones the border gather
-  // produces.
-  ConvDims g = d;  // the input geometry the packer walks
-  int64_t gpad = padding;
-  if (tuning != nullptr && tuning->prepad) {
-    g.h += 2 * padding;
-    g.w += 2 * padding;
-    gpad = 0;
-    pad_planes(x, d.n * d.cin, d.h, d.w, padding, scratch);
-    x = scratch;
-  }
-  const int64_t blocks = gemm_col_blocks(l, ep.nc);
-
-  // Im2col row table: the capture-time one on replay; the op walk builds
-  // the same table on the stack when it fits one K step (the only case the
-  // engine can feed indirectly), so both take the same B feed.
-  const Im2colStep* steps = nullptr;
-  Im2colStep local_steps[kGemmKC];
-  if (tuning != nullptr && !tuning->im2col.empty()) {
-    steps = tuning->im2col.data();
-  } else if (!pointwise && d.cin * d.kh * d.kw <= kGemmKC) {
-    fill_im2col_steps(d, padding, local_steps);
-    steps = local_steps;
-  }
-
+  const int64_t nc = ep.nc > 0 ? ep.nc : kGemmNC;
+  const int64_t blocks = gemm_col_blocks(l, nc);
   runtime::parallel_for(d.n * blocks, [&](int64_t t0, int64_t t1) {
     for (int64_t t = t0; t < t1; ++t) {
       const int64_t s = t / blocks;
       const int64_t blk = t % blocks;
-      const float* xs = x + s * g.cin * g.h * g.w;
+      const float* xs = x + s * d.cin * d.h * d.w;
       float* cs = out + s * d.cout * l;
-      const Im2colPacker im(xs, g.h, g.w, d.kh, stride, gpad, d.ow, steps);
-      const StridedBPacker direct(xs, l, /*transposed=*/false);
-      const BPanelPacker& bp =
-          pointwise ? static_cast<const BPanelPacker&>(direct)
-                    : static_cast<const BPanelPacker&>(im);
-      gemm_col_block(wp.fp32_view(), bp, l, blk, cs, ep);
+      if (pointwise) {
+        gemm_col_block(wp.fp32_view(),
+                       StridedBPacker(xs, l, /*transposed=*/false), l, blk,
+                       cs, ep);
+        continue;
+      }
+      // The band spans output rows [oy0, oy1]'s tap rows. A block on one
+      // output row reads only its own pixels' padded columns [x0, x0 + bw);
+      // one that wraps reads whole rows.
+      const int64_t j0 = blk * nc, j1 = std::min(j0 + nc, l);
+      const int64_t oy0 = j0 / d.ow, oy1 = (j1 - 1) / d.ow;
+      const int64_t bh = (oy1 - oy0) * stride + d.kh;
+      const bool one_row = oy0 == oy1;
+      const int64_t x0 = one_row ? (j0 % d.ow) * stride : 0;
+      const int64_t bw = one_row ? ((j1 - 1) % d.ow) * stride + d.kw - x0
+                                 : d.w + 2 * padding;
+      runtime::FloatWorkspace band(static_cast<size_t>(d.cin * bh * bw));
+      fill_band(xs, d.cin, d.h, d.w, oy0 * stride - padding, x0 - padding,
+                bh, bw, band.data());
+      runtime::Int8Workspace rows_ws(
+          static_cast<size_t>(ckk) * sizeof(Im2colStep));
+      Im2colStep* rows = reinterpret_cast<Im2colStep*>(rows_ws.data());
+      conv_rows(d.kh, d.kw, bh * bw, bw, 0, ckk, rows);
+      gemm_col_block(wp.fp32_view(),
+                     BandPacker(band.data(), rows, bw, stride, d.ow, oy0, x0), l,
+                     blk, cs, ep);
     }
   });
 }
@@ -465,10 +486,7 @@ void conv_transpose2d_prepacked_run(const ConvDims& d, const PackedWeight& wp,
   const int64_t l = d.h * d.w;
   const int64_t plane = d.oh * d.ow;
   GemmEpilogue ep;
-  if (tuning != nullptr) {
-    ep.nc = tuning->nc;
-    ep.bfeed = tuning->bfeed;
-  }
+  if (tuning != nullptr) ep.nc = tuning->nc;
   const int64_t blocks = gemm_col_blocks(l, ep.nc);
   runtime::FloatWorkspace col(static_cast<size_t>(ckk * l));
   const bool int8 = wp.precision() == Precision::kInt8;
@@ -908,19 +926,6 @@ Variable conv2d_prepacked(const Variable& x, const Variable& w,
       // The quantized, zero-point-bordered input planes (bytes).
       tuning->scratch_floats =
           (d.n * d.cin * (d.h + 2 * padding) * (d.w + 2 * padding) + 3) / 4;
-    } else {
-      tuning->prepad = stride == 1 && padding > 0 && d.ow <= kPrepadMaxWidth;
-      // Shape-specialized gather table: one decode per logical im2col row,
-      // amortized over every replay, for the geometry the replay walks.
-      ConvDims g = d;
-      if (tuning->prepad) {
-        g.h += 2 * padding;
-        g.w += 2 * padding;
-        tuning->scratch_floats = d.n * d.cin * g.h * g.w;
-      }
-      tuning->im2col.resize(static_cast<size_t>(ckk));
-      fill_im2col_steps(g, tuning->prepad ? 0 : padding,
-                        tuning->im2col.data());
     }
     Tensor bias_t = has_bias ? b.value() : Tensor();
     std::shared_ptr<const PackedWeight> pack = wp;

@@ -35,11 +35,11 @@ struct EngineOptions {
   /// load, the large plan on its first replay — and a plan that fails is
   /// replaced by the op walk. false = always op-walk.
   bool use_graph_executor = true;
-  /// Benchmark per-shape kernel knobs (GEMM column-block width, packed-B
-  /// feed) when building tile and GP plans (the large LP+IR plan is built
-  /// on a request and never tuned); knobs are bitwise-neutral, so this
-  /// trades load time for steady-state speed only and never changes an
-  /// output bit.
+  /// Time each conv's GEMM column-block width (128 and 512 against the
+  /// default) when building tile and GP plans (the large LP+IR plan is
+  /// built on a request and never tuned); the width is bitwise-neutral, so
+  /// this trades load time for steady-state speed only and never changes
+  /// an output bit.
   bool autotune = true;
 };
 

@@ -368,36 +368,19 @@ void GraphExecutor::plan_arena(uint64_t seed) {
 
 namespace {
 
-struct TuneChoice {
-  int64_t nc = 0;
-  BFeed bfeed = BFeed::kAuto;
-};
-
-// Process-wide per-shape tuning decisions, keyed WITHOUT the thread count:
-// every knob is bitwise-neutral, so sharing one decision across engines with
-// different pool widths costs nothing and keeps every engine in a process on
-// the identical plan.
+// Process-wide per-shape column-block widths, keyed WITHOUT the thread
+// count: the width is bitwise-neutral, so sharing one decision across
+// engines with different pool widths costs nothing and keeps every engine
+// in a process on the identical plan.
 using TuneKey = std::tuple<bool, int, int64_t, int64_t, int64_t, int64_t>;
 
 // Wall-clock budget for the autotune pass, per executor build.
 constexpr int64_t kAutotuneBudgetMs = 250;
 
 std::mutex tune_mutex;
-std::map<TuneKey, TuneChoice>& tune_cache() {
-  static std::map<TuneKey, TuneChoice> cache;
+std::map<TuneKey, int64_t>& tune_cache() {
+  static std::map<TuneKey, int64_t> cache;
   return cache;
-}
-
-const char* bfeed_name(BFeed f) {
-  switch (f) {
-    case BFeed::kStream:
-      return "stream";
-    case BFeed::kPack:
-      return "pack";
-    case BFeed::kAuto:
-      break;
-  }
-  return "auto";
 }
 
 }  // namespace
@@ -423,8 +406,7 @@ void GraphExecutor::autotune() {
       std::lock_guard<std::mutex> lock(tune_mutex);
       auto it = tune_cache().find(key);
       if (it != tune_cache().end()) {
-        node.tuning->nc = it->second.nc;
-        node.tuning->bfeed = it->second.bfeed;
+        node.tuning->nc = it->second;
         continue;
       }
     }
@@ -433,34 +415,28 @@ void GraphExecutor::autotune() {
     io.ins = ctx->ins_.data() + in_off_[si];
     io.outs = ctx->outs_.data() + out_off_[si];
     io.scratch = ctx->scratch_[si];
-    auto time_with = [&](const TuneChoice& c) {
-      node.tuning->nc = c.nc;
-      node.tuning->bfeed = c.bfeed;
+    auto time_with = [&](int64_t nc) {
+      node.tuning->nc = nc;
       node.run(io);  // warm caches / pooled scratch
       return best_of(2, [&] { node.run(io); });
     };
 
-    const TuneChoice fallback{};  // nc 0, kAuto: the untuned default
-    TuneChoice best = fallback;
-    const double base = time_with(fallback);
+    // Each width is timed once against the default (nc 0 = kGemmNC).
+    int64_t best = 0;
+    const double base = time_with(best);
     double best_time = base;
-    for (int64_t nc : {int64_t{0}, int64_t{128}, int64_t{512}}) {
-      for (BFeed bf : {BFeed::kAuto, BFeed::kStream, BFeed::kPack}) {
-        if (nc == 0 && bf == BFeed::kAuto) continue;  // already timed
-        if (std::chrono::steady_clock::now() >= deadline) break;
-        const TuneChoice cand{nc, bf};
-        const double t = time_with(cand);
-        if (t < best_time) {
-          best_time = t;
-          best = cand;
-        }
+    for (int64_t nc : {int64_t{128}, int64_t{512}}) {
+      if (std::chrono::steady_clock::now() >= deadline) break;
+      const double t = time_with(nc);
+      if (t < best_time) {
+        best_time = t;
+        best = nc;
       }
     }
     // Hysteresis: keep the default unless the winner is a clear (>3%) win —
     // sub-noise deltas should not flap plans between loads.
-    if (best_time > base * 0.97) best = fallback;
-    node.tuning->nc = best.nc;
-    node.tuning->bfeed = best.bfeed;
+    if (best_time > base * 0.97) best = 0;
+    node.tuning->nc = best;
     {
       std::lock_guard<std::mutex> lock(tune_mutex);
       tune_cache().emplace(key, best);
@@ -468,8 +444,7 @@ void GraphExecutor::autotune() {
     trace::emit_instant("exec.autotune.choice", "exec",
                         {{"m", node.conv.m},
                          {"l", node.conv.l},
-                         {"nc", best.nc}},
-                        "bfeed", bfeed_name(best.bfeed));
+                         {"nc", best}});
     if (std::chrono::steady_clock::now() >= deadline) break;
   }
 

@@ -18,9 +18,9 @@
 //              intermediates share memory. A node's scratch
 //              (NodeTuning::scratch_floats) is planned as a slot that
 //              lives only while the node runs.
-//   autotune — time bitwise-neutral kernel knobs (GEMM column-block width,
-//              packed-B feed strategy) per conv node against real arena
-//              buffers and bake the winners into the node's NodeTuning.
+//   autotune — time the bitwise-neutral GEMM column-block width per conv
+//              node against real arena buffers and bake the winner into the
+//              node's NodeTuning.
 //   replay   — run(ctx): iterate live nodes calling their closures against
 //              prebuilt pointer tables. Steady-state replays perform zero
 //              heap allocations (contexts are pooled, and each keeps the

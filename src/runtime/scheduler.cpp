@@ -83,7 +83,7 @@ std::future<Tensor> Scheduler::submit(Tensor mask, uint64_t request_id) {
   if (draining_) {
     throw std::runtime_error("Scheduler::submit after shutdown");
   }
-  return enqueue_locked(std::move(mask), request_id);
+  return enqueue(std::move(lock), std::move(mask), request_id);
 }
 
 std::optional<std::future<Tensor>> Scheduler::try_submit(Tensor mask) {
@@ -111,13 +111,15 @@ std::optional<std::future<Tensor>> Scheduler::try_submit(Tensor mask,
     }
     return std::nullopt;
   }
-  return enqueue_locked(std::move(mask), request_id);
+  return enqueue(std::move(lock), std::move(mask), request_id);
 }
 
-/// Shared tail of submit()/try_submit(): requires mutex_ held and space in
-/// the queue. Queues the request and wakes the dispatcher.
-std::future<Tensor> Scheduler::enqueue_locked(Tensor mask,
-                                              uint64_t request_id) {
+/// Shared tail of submit()/try_submit(): takes mutex_ held, with space in
+/// the queue. Queues the request, wakes the dispatcher and releases the
+/// lock before tracing: a client thread's first event creates its trace
+/// ring, which must not happen while the scheduler is locked.
+std::future<Tensor> Scheduler::enqueue(std::unique_lock<std::mutex> lock,
+                                       Tensor mask, uint64_t request_id) {
   Request req;
   req.mask = std::move(mask);
   req.enqueued = Clock::now();
@@ -125,14 +127,15 @@ std::future<Tensor> Scheduler::enqueue_locked(Tensor mask,
   std::future<Tensor> future = req.promise.get_future();
   queue_.push_back(std::move(req));
   m_submitted_.add();
-  m_max_queue_depth_.update_max(static_cast<int64_t>(queue_.size()));
+  const int64_t depth = static_cast<int64_t>(queue_.size());
+  m_max_queue_depth_.update_max(depth);
+  lock.unlock();
+  work_cv_.notify_one();
   if (trace::enabled()) {
     trace::emit_instant(
         "sched.enqueue", "sched",
-        {{"req", static_cast<int64_t>(request_id)},
-         {"queue_depth", static_cast<int64_t>(queue_.size())}});
+        {{"req", static_cast<int64_t>(request_id)}, {"queue_depth", depth}});
   }
-  work_cv_.notify_one();
   return future;
 }
 

@@ -188,7 +188,8 @@ class Scheduler {
   };
 
   FrontRun front_run_locked() const;
-  std::future<Tensor> enqueue_locked(Tensor mask, uint64_t request_id);
+  std::future<Tensor> enqueue(std::unique_lock<std::mutex> lock, Tensor mask,
+                              uint64_t request_id);
   void dispatch_loop();
   void fulfill(std::vector<Request>& batch, bool large);
   void record_outcome(const Request& req, Counter& counter);

@@ -21,11 +21,15 @@ std::atomic<bool> g_enabled{false};
 /// Single-producer ring: the owning thread writes slots and publishes via
 /// `head` (release); snapshot readers load `head` (acquire) and copy the
 /// retained tail. A reader racing an actively wrapping writer can tear the
-/// oldest slots — see the header's dump-consistency note.
+/// oldest slots — see the header's dump-consistency note. The slots are
+/// default-initialized (Event is trivial), so a new ring's pages are
+/// touched only as events are written: creating a thread's ring costs an
+/// allocation, not a 1.7 MB zero-fill.
 struct Ring {
-  explicit Ring(size_t capacity) : slots(capacity) {}
+  explicit Ring(size_t capacity) : slots(new Event[capacity]), cap(capacity) {}
 
-  std::vector<Event> slots;
+  std::unique_ptr<Event[]> slots;
+  size_t cap;
   std::atomic<uint64_t> head{0};  // total events ever written
   int tid = 0;
   std::string thread_name;  // guarded by the registry mutex
@@ -86,7 +90,7 @@ Ring& local_ring() {
 void write_event(const Event& ev) {
   Ring& ring = local_ring();
   const uint64_t head = ring.head.load(std::memory_order_relaxed);
-  ring.slots[head % ring.slots.size()] = ev;
+  ring.slots[head % ring.cap] = ev;
   ring.head.store(head + 1, std::memory_order_release);
 }
 
@@ -212,8 +216,9 @@ void reset(size_t ring_capacity) {
                             std::max(kMinRingCapacity, ring_capacity));
   }
   for (auto& ring : reg.rings) {
-    if (ring_capacity > 0 && ring->slots.size() != reg.capacity) {
-      std::vector<Event>(reg.capacity).swap(ring->slots);
+    if (ring_capacity > 0 && ring->cap != reg.capacity) {
+      ring->slots.reset(new Event[reg.capacity]);
+      ring->cap = reg.capacity;
     }
     ring->head.store(0, std::memory_order_release);
   }
@@ -318,7 +323,7 @@ std::vector<ThreadEvents> snapshot() {
     ThreadEvents te;
     te.tid = ring->tid;
     te.thread_name = ring->thread_name;
-    const size_t cap = ring->slots.size();
+    const size_t cap = ring->cap;
     uint64_t begin = 0;
     if (head > cap) {
       // Wrapped: the oldest `head - cap` events are gone. Skip an extra

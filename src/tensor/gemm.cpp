@@ -96,42 +96,29 @@ void run_col_block(const PackedPanelsView* pa, GemmLayout layout,
   //  - fused: strided-viewable B with deep K — the first row tile's kernel
   //    pass reads B from its source and stores the packed panels on the way
   //    past (no separate packing walk); later tiles read the panels.
-  //  - indirect: a packer with an offset table (stride-1 implicit im2col),
-  //    one K step, one A stripe and a plain C = A·B (+ bias) — each paired
-  //    run the packer accepts is read in place by add_pair_ind; the other
-  //    runs are packed tile-wise (below) just before their kernels.
+  //  - indirect: a packer with an offset table (stride-1 implicit im2col
+  //    over a bordered band), one K step, one A stripe and a plain
+  //    C = A·B (+ bias) — each paired run the packer accepts is read in
+  //    place by add_pair_ind; the other runs are packed tile-wise (below)
+  //    just before their kernels.
   //  - packed: everything else (transposed layouts, every other im2col)
   //    gathers panels through the virtual pack() up front.
   const float* bbase = nullptr;
   int64_t brstride = 0;
   const bool viewable = bp.direct_view(&bbase, &brstride);
-  bool direct = viewable && (k <= 64 || m <= MR);
-  bool fused =
+  const bool direct = viewable && (k <= 64 || m <= MR);
+  const bool fused =
       !direct && viewable && !ep.subtract && kern.add_pair_pack != nullptr;
-  if (ep.bfeed == BFeed::kStream && viewable) {
-    direct = true;
-    fused = false;
-  } else if (ep.bfeed == BFeed::kPack) {
-    direct = false;
-    fused = false;
-  }
-  // Tile-wise packing: with kPack forced on a gathered (non-viewable) B and
-  // a single MC stripe, each panel is packed into one reused two-panel
-  // buffer immediately before the kernels that consume it, so packed B
-  // lives in L1 instead of round-tripping a whole NC block through L2.
-  // Same gathered values, same kernel order — bitwise identical output.
-  // On its own it is only worth it for the skinny-M im2col GEMMs, so it is
-  // autotune-gated (the graph executor's per-shape tuner flips BFeed::kPack
-  // on when it measures a win); the indirect feed always uses it for the
-  // runs it cannot read in place.
-  const Im2colStep* ind_rows =
-      !viewable && ep.bfeed == BFeed::kAuto && !ep.accumulate &&
-              !ep.subtract && k <= kGemmKC && m <= kGemmMC
-          ? bp.indirect_rows()
-          : nullptr;
-  const bool tile_pack =
-      ind_rows != nullptr || (!direct && !fused && !viewable &&
-                              ep.bfeed == BFeed::kPack && m <= kGemmMC);
+  // The indirect feed packs the runs it cannot read in place tile-wise:
+  // each panel goes into one reused two-panel buffer immediately before
+  // the kernels that consume it (the single MC stripe means no later row
+  // pass rereads it), so packed B lives in L1 instead of round-tripping a
+  // whole NC block through L2. Same gathered values, same kernel order.
+  const Im2colStep* ind_rows = !viewable && !ep.accumulate && !ep.subtract &&
+                                       k <= kGemmKC && m <= kGemmMC
+                                   ? bp.indirect_rows()
+                                   : nullptr;
+  const bool tile_pack = ind_rows != nullptr;
   std::optional<runtime::FloatWorkspace> bws;
   if (!direct) {
     bws.emplace(static_cast<size_t>(
@@ -234,8 +221,6 @@ void run_col_block(const PackedPanelsView* pa, GemmLayout layout,
         // the virtual pack() once per K step (i0 == 0 pass).
         const bool pair = kern.add_pair && full_pair;
         if (tile_pack) {
-          // Refill the reused two-panel buffer just before use; the single
-          // MC stripe (m <= kGemmMC) means no later row pass rereads it.
           bp.pack(k0, k0 + klen, c0, std::min(c0 + NR, j1),
                   const_cast<float*>(bpan));
           if (pair) {
@@ -400,6 +385,22 @@ PackedA::PackedA(GemmLayout layout, const float* a, int64_t m, int64_t k)
       k_(k) {
   if (m > 0 && k > 0) {
     detail::pack_a_panels(layout, a, m, k, 0, m, 0, k, buf_.data());
+  }
+}
+
+void conv_rows(int64_t kh, int64_t kw, int64_t plane, int64_t pitch,
+               int64_t k0, int64_t klen, Im2colStep* dst) {
+  const int64_t taps = kh * kw;
+  int64_t ch = k0 / taps, ki = (k0 % taps) / kw, kj = k0 % kw;
+  for (int64_t kk = 0; kk < klen; ++kk) {
+    dst[kk] = {ch * plane + ki * pitch + kj};
+    if (++kj == kw) {
+      kj = 0;
+      if (++ki == kh) {
+        ki = 0;
+        ++ch;
+      }
+    }
   }
 }
 

@@ -7,10 +7,13 @@
 // full Cin·K·K × L column buffer is never materialized), and the Fourier
 // Unit's spectral mixing (clift via split real/imaginary GEMMs,
 // cmode_matmul via the mode-blocked kernel at the bottom of this header).
-// Stride-1 prepacked inference convs go one step further: the indirect
-// convolution feed (M. Dukhan, "The Indirect Convolution Algorithm", 2019)
-// runs the micro-kernel straight on the input plane through a per-row
-// offset table (Im2colStep), so interior B panels are never packed at all.
+// Prepacked inference convs gather from a band: each (sample, column block)
+// task copies the input rows its block reads, every channel, into a
+// zero-bordered buffer, so no gather needs a bounds check. At stride 1 the
+// indirect convolution feed (M. Dukhan, "The Indirect Convolution
+// Algorithm", 2019) then runs the micro-kernel straight on the band
+// through a per-row offset table (Im2colStep), so B panels whose pixels
+// share an output row are never packed at all.
 //
 // Blocking scheme (see README "GEMM & convolution kernels"):
 //  - C is computed in kMR x kNR register tiles; A and B are repacked into
@@ -79,26 +82,22 @@ struct EpiloguePostStage {
   const float* beta = nullptr;
 };
 
-/// How a column block feeds B to the micro-kernel. kAuto applies the
-/// heuristic in run_col_block, which includes the indirect feed whenever
-/// the packer offers one (BPanelPacker::indirect_rows); the forced modes
-/// exist for the graph executor's per-shape autotuner and never feed
-/// indirectly. Every mode reads the same values in the same per-element
-/// order, so the choice never changes bits.
-enum class BFeed : int8_t { kAuto = 0, kStream = 1, kPack = 2 };
-
-/// One logical B row of an implicit im2col operand, precomputed once per
-/// conv shape: row kk reads the input at (dy, dx) from the output pixel,
-/// which for stride 1 is the flat offset `off = plane + dy*w + dx` from the
-/// pixel's own index (plane = channel*h*w). The graph executor keeps one
-/// table per conv node (ag::NodeTuning::im2col); the packer gathers through
-/// it, and the indirect micro-kernel reads B(kk, j) = x[off + oy*w + ox0 + j]
-/// straight from it.
+/// One logical B row of an implicit im2col operand: row kk = (channel, ki,
+/// kj) reads the source at the fixed flat offset `off` from its output
+/// pixel's base. The source is a plane (or band) in which every tap lies,
+/// so a conv of kh x kw taps over planes `plane` elements apart with row
+/// pitch `pitch` has off = channel*plane + ki*pitch + kj (conv_rows). The
+/// fp32 indirect micro-kernel reads B(kk, j) = base[off + j] from such a
+/// table, and the int8 gather builds its u8 tiles through one.
 struct Im2colStep {
-  int64_t off;  // plane + dy * w + dx
-  int32_t dy;   // ki - padding
-  int32_t dx;   // kj - padding
+  int64_t off;
 };
+
+/// Fills dst[0, klen) with the Im2colStep rows [k0, k0 + klen) of a
+/// kh x kw conv over planes @p plane elements apart with row pitch
+/// @p pitch.
+void conv_rows(int64_t kh, int64_t kw, int64_t plane, int64_t pitch,
+               int64_t k0, int64_t klen, Im2colStep* dst);
 
 /// Epilogue applied by the micro-kernel on write-back.
 struct GemmEpilogue {
@@ -119,8 +118,6 @@ struct GemmEpilogue {
   /// Callers enumerating blocks must pass the same value to
   /// gemm_col_blocks. Tiling width never changes per-element K order.
   int64_t nc = 0;
-  /// B-feed strategy override (see BFeed).
-  BFeed bfeed = BFeed::kAuto;
 };
 
 /// Applies post[0..count) in order to rows [0,m) x columns [j0,j1) of a
@@ -155,16 +152,17 @@ class BPanelPacker {
   }
 
   /// Indirect feed. A packer whose logical B row kk sits at a fixed offset
-  /// rows[kk].off from a per-column base pointer (stride-1 implicit im2col)
-  /// returns that row table here; the engine then reads in place every
-  /// column run indirect_base() accepts. Default: nullptr (pack only).
+  /// rows[kk].off from a per-column base pointer (stride-1 implicit im2col
+  /// over a bordered band) returns that row table here; the engine then
+  /// reads in place every column run indirect_base() accepts. Default:
+  /// nullptr (pack only).
   virtual const Im2colStep* indirect_rows() const { return nullptr; }
 
   /// For a packer with indirect_rows(): the base pointer of the run of
   /// 2*kGemmNR logical columns starting at @p j, such that
   /// B(kk, j + jj) = base[rows[kk].off + jj] — or nullptr when the run is
-  /// not in place (it crosses an output row, or a tap falls in the
-  /// padding), in which case the engine packs that run instead.
+  /// not in place (it crosses an output row), in which case the engine
+  /// packs that run instead.
   virtual const float* indirect_base(int64_t j) const {
     (void)j;
     return nullptr;

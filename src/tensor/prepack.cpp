@@ -138,25 +138,6 @@ PackedWeight::PackedWeight(GemmLayout layout, const float* a, int64_t m,
 
 namespace {
 
-// The Im2colStep rows [k0, k0 + klen) of @p b: row kk = (channel, ki, kj)
-// sits at channel*h*w + ki*w + kj from its output pixel's base.
-void source_rows(const I8Source& b, int64_t k0, int64_t klen,
-                 Im2colStep* dst) {
-  const int64_t taps = b.kh * b.kw;
-  int64_t ch = k0 / taps, ki = (k0 % taps) / b.kw, kj = k0 % b.kw;
-  for (int64_t kk = 0; kk < klen; ++kk) {
-    dst[kk] = {ch * b.h * b.w + ki * b.w + kj, static_cast<int32_t>(ki),
-               static_cast<int32_t>(kj)};
-    if (++kj == b.kw) {
-      kj = 0;
-      if (++ki == b.kh) {
-        ki = 0;
-        ++ch;
-      }
-    }
-  }
-}
-
 // Gathers the nr B columns from output pixel (oy, ox) on as one u8 tile at
 // @p dst. Columns on one output row are one i8_gather; a tile that crosses
 // output rows is gathered a row segment at a time through @p tmp and its
@@ -235,7 +216,7 @@ void i8_columns(const PackedWeight& a, const I8Source& b,
       const int64_t klen = std::min(kGemmKC, k - k0);
       const int64_t kq = (klen + 3) / 4;
       if (rows_k0 != k0) {
-        source_rows(b, k0, klen, rows);
+        conv_rows(b.kh, b.kw, b.h * b.w, b.w, k0, klen, rows);
         rows_k0 = k0;
       }
       // 4 divides kKC, so every chunk start is quad-aligned; only the

@@ -142,10 +142,9 @@ void quantize_plane_u8(const float* x, int64_t h, int64_t w, int64_t pad,
 /// row_scales[i] * b_scale) with optional @p bias in fp32. Thread-safe for
 /// distinct blocks; bitwise deterministic for any thread count (integer
 /// accumulation is exact).
-/// @p ep supplies only the fused post chain and the column-block width nc
-/// (bfeed is ignored — B always comes from the u8 source); ep.bias is
-/// unused, bias comes in via @p bias because the int8 write-back needs it
-/// separate from the dequant scales.
+/// @p ep supplies only the fused post chain and the column-block width nc;
+/// ep.bias is unused, bias comes in via @p bias because the int8
+/// write-back needs it separate from the dequant scales.
 void gemm_col_block_i8(const PackedWeight& a, const I8Source& b,
                        const float* combined_scales, int64_t n, int64_t block,
                        float* c, const float* bias,

@@ -277,7 +277,7 @@ TEST(Gemm, BaselineAndDispatchedKernelTablesAgreeBitwise) {
   const float* xbase = xsrc.data() + 512;
   std::vector<Im2colStep> rows(static_cast<size_t>(klen));
   std::uniform_int_distribution<int64_t> offd(-512, 512 - 2 * kGemmNR);
-  for (Im2colStep& r : rows) r = {offd(g), 0, 0};
+  for (Im2colStep& r : rows) r = {offd(g)};
   Tensor ind0({klen, kGemmNR}), ind1({klen, kGemmNR});
   for (int64_t kk = 0; kk < klen; ++kk) {
     for (int64_t j = 0; j < kGemmNR; ++j) {

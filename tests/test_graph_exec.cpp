@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -314,58 +315,87 @@ TEST(GraphExec, TwoPlansAtLoadServeEveryBatchAndShape) {
   }
 }
 
-// Prepad: a replayed stride-1 fp32 conv at most 256 px wide gathers from a
-// zero-bordered copy of its input in arena scratch. Widths on both sides of
-// the cutoff, rows shorter and longer than a 32-pixel run, batches of 1
-// and 2 and thread counts 1 and 3 must all replay bitwise equal to the op
-// walk; the second context replays over the first's stale arena.
-TEST(GraphExec, PrepadConvReplayMatchesOpWalk) {
-  auto rng = test::rng(61);
-  nn::Conv2d c3(3, 5, 3, 1, 1, rng), c5(5, 4, 5, 1, 2, rng);
-  c3.prepack_forward(Precision::kFp32);
-  c5.prepack_forward(Precision::kFp32);
-  auto forward = [&](const ag::Variable& x) {
-    return ag::leaky_relu(c5.forward(ag::leaky_relu(c3.forward(x), 0.2f)),
-                          0.2f);
+// Every fp32 inference conv gathers from a zero-bordered band of its input,
+// at any width and stride. Training's conv2d, whose bounds-checked gather
+// is independent of that feed, is the reference: the op walk and the
+// executor replay of conv2d_prepacked must match it bitwise for DOINN's
+// conv shapes, on widths around the 32-pixel indirect run and the column
+// block, with rows that start mid-block, for batches 1 and 2 and 1 and 3
+// threads. The second replay runs on a stale arena.
+TEST(GraphExec, PrepackedConvMatchesTrainingConvOnWalkAndReplay) {
+  struct Shape {
+    int64_t k, stride, padding;
   };
-  for (int threads : {1, 3}) {
-    runtime::ThreadPool pool(threads);
-    runtime::ScopedPool scope(&pool);
-    for (int64_t n : {1, 2}) {
-      for (int64_t w : {8, 20, 32, 64, 96, 256, 288}) {
-        const Tensor probe = Tensor::rand({n, 3, 10, w}, rng);
-        auto graph = runtime::capture_graph(probe, forward);
-        int prepadded = 0;
-        for (const ag::CaptureNode& node : graph->nodes) {
-          if (node.tuning != nullptr && node.tuning->prepad) ++prepadded;
-        }
-        EXPECT_EQ(prepadded, w <= 256 ? 2 : 0) << "w " << w;
-        runtime::ExecutorOptions eo;
-        eo.autotune = false;
-        runtime::GraphExecutor exec(std::move(graph), eo);
-        for (int rep = 0; rep < 2; ++rep) {
-          const Tensor x = Tensor::rand({n, 3, 10, w}, rng);
-          Tensor ref;
-          {
+  auto rng = test::rng(61);
+  const int64_t cin = 3, cout = 5;
+  for (const Shape sh : {Shape{3, 1, 1}, Shape{5, 1, 2}, Shape{4, 2, 1},
+                         Shape{1, 1, 0}}) {
+    const ag::Variable w(Tensor::randn({cout, cin, sh.k, sh.k}, rng), false);
+    const ag::Variable b(Tensor::randn({cout}, rng), false);
+    const auto wp = std::make_shared<const PackedWeight>(
+        GemmLayout::kNN, w.value().data(), cout, cin * sh.k * sh.k,
+        Precision::kFp32);
+    auto prepacked = [&](const ag::Variable& x) {
+      return ag::conv2d_prepacked(x, w, wp, b, sh.stride, sh.padding);
+    };
+    for (int threads : {1, 3}) {
+      runtime::ThreadPool pool(threads);
+      runtime::ScopedPool scope(&pool);
+      for (int64_t n : {1, 2}) {
+        for (int64_t h : {10, 300}) {
+          for (int64_t wd : {8, 20, 32, 64, 96, 256, 288, 512, 513}) {
+            const std::string where =
+                "k " + std::to_string(sh.k) + " s " +
+                std::to_string(sh.stride) + " threads " +
+                std::to_string(threads) + " n " + std::to_string(n) + " " +
+                std::to_string(h) + "x" + std::to_string(wd);
             ag::NoGradGuard no_grad;
-            ref = forward(ag::Variable(x.clone(), false)).value();
+            auto graph = runtime::capture_graph(
+                Tensor::rand({n, cin, h, wd}, rng), prepacked);
+            runtime::ExecutorOptions eo;
+            eo.autotune = false;
+            runtime::GraphExecutor exec(std::move(graph), eo);
+            for (int rep = 0; rep < 2; ++rep) {
+              const ag::Variable x(Tensor::rand({n, cin, h, wd}, rng), false);
+              const Tensor ref =
+                  ag::conv2d(x, w, b, sh.stride, sh.padding).value();
+              EXPECT_TRUE(bitwise_equal(prepacked(x).value(), ref))
+                  << "op walk " << where;
+              auto ctx = exec.acquire();
+              auto spare = exec.acquire();  // rep 1 replays on a used arena
+              std::copy(x.value().data(), x.value().data() + x.value().numel(),
+                        ctx->input(0));
+              exec.run(*ctx);
+              ASSERT_EQ(ctx->output_numel(0), ref.numel()) << where;
+              EXPECT_EQ(std::memcmp(ctx->output(0), ref.data(),
+                                    sizeof(float) *
+                                        static_cast<size_t>(ref.numel())),
+                        0)
+                  << "replay " << where << " rep " << rep;
+              exec.release(std::move(spare));
+              exec.release(std::move(ctx));
+            }
           }
-          auto ctx = exec.acquire();
-          auto spare = exec.acquire();  // rep 1 replays on a used arena
-          std::copy(x.data(), x.data() + x.numel(), ctx->input(0));
-          exec.run(*ctx);
-          ASSERT_EQ(ctx->output_numel(0), ref.numel());
-          EXPECT_EQ(std::memcmp(ctx->output(0), ref.data(),
-                                sizeof(float) *
-                                    static_cast<size_t>(ref.numel())),
-                    0)
-              << "threads " << threads << " n " << n << " w " << w
-              << " rep " << rep;
-          exec.release(std::move(spare));
-          exec.release(std::move(ctx));
         }
       }
     }
+  }
+}
+
+// An fp32 conv gathers from a leased band, not from arena scratch: a plan
+// of one 3x3 conv holds only its input and output, at any width.
+TEST(GraphExec, Fp32ConvPlanHoldsOnlyItsInputAndOutput) {
+  auto rng = test::rng(62);
+  nn::Conv2d conv(4, 8, 3, 1, 1, rng);
+  conv.prepack_forward(Precision::kFp32);
+  for (int64_t side : {128, 512}) {
+    const Tensor probe = Tensor::rand({1, 4, side, side}, rng);
+    auto graph = runtime::capture_graph(
+        probe, [&](const ag::Variable& x) { return conv.forward(x); });
+    runtime::ExecutorOptions eo;
+    eo.autotune = false;
+    runtime::GraphExecutor exec(std::move(graph), eo);
+    EXPECT_EQ(exec.arena_bytes(), 4 * (4 + 8) * side * side) << side;
   }
 }
 

@@ -242,7 +242,7 @@ TEST(QuantKernels, DispatchedI8KernelsBitwiseMatchBaseline) {
   for (uint8_t& v : plane) v = static_cast<uint8_t>(byte(rng));
   std::uniform_int_distribution<int64_t> offset(0, 4096 - 3 * kGemmNR);
   std::vector<Im2colStep> rows(40);
-  for (Im2colStep& r : rows) r = {offset(rng), 0, 0};
+  for (Im2colStep& r : rows) r = {offset(rng)};
   for (int64_t klen : {1, 2, 3, 4, 5, 7, 21, 38, 40}) {
     const int64_t kquads = (klen + 3) / 4;
     for (int64_t cstride = 1; cstride <= 3; ++cstride) {
