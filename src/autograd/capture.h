@@ -56,8 +56,8 @@ using ReplayFn = std::function<void(const ReplayIO&)>;
 
 /// Mutable per-node knobs the planner and autotuner write after capture and
 /// the replay closure reads on every run: the elementwise stages, the int8
-/// scratch size and the GEMM column-block width. Closures hold this by shared_ptr so rewrites reach
-/// them without rebuilding the closure.
+/// scratch size and the GEMM column-block width. Closures hold this by
+/// shared_ptr so rewrites reach them without rebuilding the closure.
 struct NodeTuning {
   // Elementwise stages (tensor/gemm.h), the only description of a leaky,
   // tanh or eval-BN op: a stage node holds its own one stage, a conv the

@@ -464,9 +464,8 @@ void conv2d_prepacked_run(const ConvDims& d, const PackedWeight& wp,
           static_cast<size_t>(ckk) * sizeof(Im2colStep));
       Im2colStep* rows = reinterpret_cast<Im2colStep*>(rows_ws.data());
       conv_rows(d.kh, d.kw, bh * bw, bw, 0, ckk, rows);
-      gemm_col_block(wp.fp32_view(),
-                     BandPacker(band.data(), rows, bw, stride, d.ow, oy0, x0), l,
-                     blk, cs, ep);
+      const BandPacker bp(band.data(), rows, bw, stride, d.ow, oy0, x0);
+      gemm_col_block(wp.fp32_view(), bp, l, blk, cs, ep);
     }
   });
 }
