@@ -4,10 +4,12 @@
 // The headline number is the batched conv-shaped GEMM (Cout x CKK x L of
 // the 256x256 DOINN refine convs); the table also covers the three layout
 // variants, the full conv2d forward (explicit im2col vs implicit packing),
-// the 1x1 fast path, and the Fourier Unit's per-mode spectral mixing.
-// Finishes by checking that conv2d outputs are bitwise identical to the
-// pre-PR formulation and across thread counts, and writes the table as
-// machine-readable BENCH_gemm.json for cross-PR perf tracking.
+// the 1x1 fast path, the DOINN ir.dconv3 transposed conv (row bands vs the
+// column buffer + col2im scatter, fp32 and int8, gated bitwise) and the
+// Fourier Unit's per-mode spectral mixing. Finishes by checking that
+// conv2d outputs are bitwise identical to the pre-PR formulation and
+// across thread counts, and writes the table as machine-readable
+// BENCH_gemm.json for cross-PR perf tracking.
 //
 // A second section covers the load-time prepacking path (tensor/prepack.h):
 // PackedWeight vs per-call PackedA on pack-bound serving GEMM shapes, plus
@@ -38,6 +40,7 @@
 #include "autograd/variable.h"
 #include "bench_util.h"
 #include "runtime/thread_pool.h"
+#include "runtime/workspace.h"
 #include "tensor/gemm.h"
 #include "tensor/prepack.h"
 #include "tensor/tensor.h"
@@ -204,6 +207,86 @@ litho::Tensor conv2d_int8(const litho::Tensor& x, const litho::PackedWeight& pw,
   return out;
 }
 
+// Pre-band col2im: scatters columns [c*k*k, l] onto the zero-filled output
+// planes x [c, h, w], parallel over the (disjoint) channels.
+void col2im(const float* col, int64_t c, int64_t h, int64_t w, int64_t k,
+            int64_t stride, int64_t padding, float* x) {
+  const int64_t oh = litho::ag::conv_out_size(h, k, stride, padding);
+  const int64_t ow = litho::ag::conv_out_size(w, k, stride, padding);
+  const int64_t l = oh * ow;
+  litho::runtime::parallel_for(c, [&](int64_t c0, int64_t c1) {
+    for (int64_t ch = c0; ch < c1; ++ch) {
+      for (int64_t ki = 0; ki < k; ++ki) {
+        for (int64_t kj = 0; kj < k; ++kj) {
+          const float* src = col + ((ch * k + ki) * k + kj) * l;
+          for (int64_t oy = 0; oy < oh; ++oy) {
+            const int64_t iy = oy * stride + ki - padding;
+            if (iy < 0 || iy >= h) continue;
+            float* dst_row = x + (ch * h + iy) * w;
+            for (int64_t ox = 0; ox < ow; ++ox) {
+              const int64_t ix = ox * stride + kj - padding;
+              if (ix >= 0 && ix < w) dst_row[ix] += src[oy * ow + ox];
+            }
+          }
+        }
+      }
+    }
+  });
+}
+
+// Pre-band conv_transpose2d_prepacked: per sample, a GEMM into a full
+// [cout*k*k x h*w] column buffer (parallel over column blocks; at int8 the
+// sample is first quantized once into a dense byte copy), then the col2im
+// scatter into a zero-filled output and a separate bias pass.
+litho::Tensor conv_transpose2d_cols(const litho::Tensor& x,
+                                    const litho::PackedWeight& pw,
+                                    const litho::Tensor& b, int64_t k,
+                                    int64_t stride, int64_t padding) {
+  const int64_t n = x.size(0), cin = x.size(1), h = x.size(2), w = x.size(3);
+  const int64_t ckk = pw.m(), cout = ckk / (k * k);
+  const int64_t oh = (h - 1) * stride - 2 * padding + k;
+  const int64_t ow = (w - 1) * stride - 2 * padding + k;
+  const int64_t l = h * w, plane = oh * ow;
+  const bool int8 = pw.precision() == litho::Precision::kInt8;
+  litho::Tensor out({n, cout, oh, ow});
+  litho::runtime::FloatWorkspace col(static_cast<size_t>(ckk * l));
+  std::vector<float> scales(static_cast<size_t>(ckk));
+  std::vector<uint8_t> q(int8 ? static_cast<size_t>(cin * l) : 0);
+  std::fill(out.data(), out.data() + out.numel(), 0.f);
+  const int64_t blocks = litho::gemm_col_blocks(l);
+  for (int64_t s = 0; s < n; ++s) {
+    const float* xs = x.data() + s * cin * l;
+    if (int8) {
+      const float amax = litho::max_abs(xs, cin * l);
+      for (int64_t i = 0; i < ckk; ++i) {
+        scales[i] = pw.row_scales()[i] * (amax / 127.f);
+      }
+      litho::quantize_plane_u8(xs, 1, cin * l, 0,
+                               amax > 0.f ? 127.f / amax : 0.f, q.data());
+    }
+    litho::runtime::parallel_for(blocks, [&](int64_t b0, int64_t b1) {
+      for (int64_t blk = b0; blk < b1; ++blk) {
+        if (int8) {
+          litho::gemm_col_block_i8(pw, litho::I8Source::dense(q.data(), l),
+                                   scales.data(), l, blk, col.data(),
+                                   nullptr);
+        } else {
+          litho::gemm_col_block(pw.fp32_view(),
+                                litho::StridedBPacker(xs, l, false), l, blk,
+                                col.data());
+        }
+      }
+    });
+    col2im(col.data(), cout, oh, ow, k, stride, padding,
+           out.data() + s * cout * plane);
+    for (int64_t c = 0; c < cout; ++c) {
+      float* p = out.data() + (s * cout + c) * plane;
+      for (int64_t i = 0; i < plane; ++i) p[i] += b[c];
+    }
+  }
+  return out;
+}
+
 // Seed per-mode complex contraction (serial bixy,ioxy->boxy loop).
 void cmode(int64_t bsz, int64_t ci, int64_t co, int64_t xy, const float* vr,
            const float* vi, const float* wr, const float* wi, float* zr,
@@ -281,7 +364,7 @@ void write_rows(FILE* f, const std::vector<Row>& rows, const char* base_key) {
 
 void write_json(const char* path, double prepack_x, double int8_x,
                 double prepack_gate, double int8_gate, bool bitwise,
-                bool int8_conv_bitwise) {
+                bool int8_conv_bitwise, bool convt_bitwise) {
   FILE* f = std::fopen(path, "w");
   if (!f) return;
   std::fprintf(f, "{\n  \"host\": %s,\n  \"kernel_tier\": \"%s\",\n"
@@ -294,10 +377,12 @@ void write_json(const char* path, double prepack_x, double int8_x,
                "  ],\n  \"gates\": {\"prepack_fp32_speedup\": %.3f, "
                "\"prepack_fp32_min\": %.2f, \"int8_speedup\": %.3f, "
                "\"int8_min\": %.2f, \"prepack_bitwise\": %s, "
-               "\"int8_conv_bitwise\": %s}\n}\n",
+               "\"int8_conv_bitwise\": %s, "
+               "\"conv_transpose_bitwise\": %s}\n}\n",
                prepack_x, prepack_gate, int8_x, int8_gate,
                bitwise ? "true" : "false",
-               int8_conv_bitwise ? "true" : "false");
+               int8_conv_bitwise ? "true" : "false",
+               convt_bitwise ? "true" : "false");
   std::fclose(f);
 }
 
@@ -447,6 +532,41 @@ int main(int argc, char** argv) {
         reps, [&] { o2 = litho::ag::conv2d(xv, wv, bv, 1, 0).value(); });
     report("conv2d 1x1 fast path", "2x16x256^2->16", leg, neu);
     ok = ok && max_abs_diff(o1, o2) == 0.0;
+  }
+
+  // -- DOINN ir.dconv3 (DoinnConfig::small(): 12 -> 4 channels, 4x4 s2 p1)
+  // on a batch-8 128 px tile: the column-buffer + col2im path vs the
+  // row-band path (a column tile per band, taps gathered per output
+  // pixel), at fp32 and int8, gated bitwise.
+  bool convt_bitwise = true;
+  {
+    const int64_t bsz = 8, cin = 12, cout = 4, k = 4, hw = 64;
+    Tensor x = Tensor::randn({bsz, cin, hw, hw}, rng);
+    Tensor w = Tensor::randn({cin, cout, k, k}, rng, 0.f, 0.1f);
+    Tensor bias = Tensor::randn({cout}, rng);
+    const litho::ag::Variable xv(x), wv(w), bv(bias);
+    for (litho::Precision p :
+         {litho::Precision::kFp32, litho::Precision::kInt8}) {
+      const auto packed = std::make_shared<const litho::PackedWeight>(
+          litho::GemmLayout::kTN, w.data(), cout * k * k, cin, p);
+      Tensor o_cols, o_bands;
+      const double leg = best_seconds(reps, [&] {
+        o_cols = legacy::conv_transpose2d_cols(x, *packed, bias, k, 2, 1);
+      });
+      const double neu = best_seconds(reps, [&] {
+        o_bands = litho::ag::conv_transpose2d_prepacked(xv, wv, packed, bv, 2,
+                                                        1)
+                      .value();
+      });
+      report(std::string("conv_transpose2d dconv3 ") +
+                 litho::precision_name(p),
+             "8x12x64^2->4", leg, neu);
+      convt_bitwise =
+          convt_bitwise && o_cols.numel() == o_bands.numel() &&
+          std::memcmp(o_cols.data(), o_bands.data(),
+                      sizeof(float) * static_cast<size_t>(o_cols.numel())) ==
+              0;
+    }
   }
 
   // -- Fourier Unit spectral mixing (per-mode complex matmul) -------------
@@ -650,9 +770,13 @@ int main(int argc, char** argv) {
   std::printf("int8 conv2d bitwise identical to the naive reference: %s\n",
               int8_conv_bitwise ? "yes" : "NO");
   ok = ok && int8_conv_bitwise;
+  std::printf("conv_transpose2d row bands bitwise identical to the column "
+              "buffer + col2im path: %s\n",
+              convt_bitwise ? "yes" : "NO");
+  ok = ok && convt_bitwise;
 
   write_json("BENCH_gemm.json", prepack_x, int8_x, prepack_gate, int8_gate,
-             prec_bitwise, int8_conv_bitwise);
+             prec_bitwise, int8_conv_bitwise, convt_bitwise);
   std::printf("wrote BENCH_gemm.json (%zu + %zu rows)\n", g_rows.size(),
               g_prec.size());
   return ok ? 0 : 1;

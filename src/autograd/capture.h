@@ -56,8 +56,9 @@ using ReplayFn = std::function<void(const ReplayIO&)>;
 
 /// Mutable per-node knobs the planner and autotuner write after capture and
 /// the replay closure reads on every run: the elementwise stages, the int8
-/// scratch size and the GEMM column-block width. Closures hold this by
-/// shared_ptr so rewrites reach them without rebuilding the closure.
+/// scratch size and a non-transposed conv's GEMM column-block width.
+/// Closures hold this by shared_ptr so rewrites reach them without
+/// rebuilding the closure.
 struct NodeTuning {
   // Elementwise stages (tensor/gemm.h), the only description of a leaky,
   // tanh or eval-BN op: a stage node holds its own one stage, a conv the
@@ -71,8 +72,10 @@ struct NodeTuning {
 };
 
 /// Metadata of a GEMM-backed conv node, for the fusion pass (which may only
-/// append stages to non-transposed convs — transposed convs GEMM into
-/// column space before the col2im scatter) and the per-shape autotuner.
+/// append stages to non-transposed convs — a transposed conv GEMMs into a
+/// column tile and sums each output pixel's taps after it) and the
+/// per-shape autotuner (which skips transposed convs: their row bands come
+/// from the geometry, not from a column-block width).
 struct ConvInfo {
   bool valid = false;
   bool transposed = false;

@@ -352,14 +352,45 @@ void record_stage(const char* kind, const Variable& x, const Variable& out,
   node.tuning = std::move(tuning);
 }
 
+/// Quantizes each of the @p n samples of @p x (cin planes of h x w) once,
+/// with one scale per sample (127 / max|x_s|: it bounds every value the
+/// conv gathers, and max is order-independent, so nothing derived from it
+/// depends on the schedule), into u8 planes bordered by @p pad pixels of
+/// the zero-point 128 at @p q. Writes each sample's dequant scales
+/// row_scales[i] * max|x_s| / 127, i < wp.m(), at scales + s * wp.m(). The
+/// max runs per plane first, so a large single sample still scans in
+/// parallel.
+void quantize_samples(const PackedWeight& wp, const float* x, int64_t n,
+                      int64_t cin, int64_t h, int64_t w, int64_t pad,
+                      uint8_t* q, float* scales) {
+  const int64_t planes = n * cin, hw = h * w, m = wp.m();
+  const int64_t qplane = (h + 2 * pad) * (w + 2 * pad);
+  runtime::FloatWorkspace ws(static_cast<size_t>(planes + n));
+  float* plane_max = ws.data();
+  float* inv = plane_max + planes;
+  runtime::parallel_for(planes, [&](int64_t p0, int64_t p1) {
+    for (int64_t p = p0; p < p1; ++p) plane_max[p] = max_abs(x + p * hw, hw);
+  });
+  const float* rs = wp.row_scales();
+  for (int64_t s = 0; s < n; ++s) {
+    const float amax = max_abs(plane_max + s * cin, cin);
+    inv[s] = amax > 0.f ? 127.f / amax : 0.f;
+    const float bs = amax / 127.f;
+    for (int64_t i = 0; i < m; ++i) scales[s * m + i] = rs[i] * bs;
+  }
+  runtime::parallel_for(planes, [&](int64_t p0, int64_t p1) {
+    for (int64_t p = p0; p < p1; ++p) {
+      quantize_plane_u8(x + p * hw, h, w, pad, inv[p / cin], q + p * qplane);
+    }
+  });
+}
+
 /// The int8 half of conv2d_prepacked_run. Each sample's input is quantized
-/// once, with one scale per sample (127 / max|x_s|: it bounds every im2col
-/// entry, and max is order-independent, so nothing derived from it depends
-/// on the schedule), into u8 planes bordered with the zero-point 128. The
-/// GEMM then gathers im2col bytes from them: the bytes the zero-padded
-/// im2col would give if each entry were quantized after the gather. The
-/// planes live in @p scratch on replay and in a lease on the op walk, so
-/// replay allocates nothing.
+/// once (quantize_samples) into planes bordered with the zero-point, from
+/// which the GEMM gathers im2col bytes: the bytes the zero-padded im2col
+/// would give if each entry were quantized after the gather. The planes
+/// live in @p scratch on replay and in a lease on the op walk, so replay
+/// allocates nothing.
 void conv2d_int8_run(const ConvDims& d, const PackedWeight& wp,
                      const float* x, const float* bias, int64_t stride,
                      int64_t padding, const GemmEpilogue& ep, float* scratch,
@@ -372,29 +403,8 @@ void conv2d_int8_run(const ConvDims& d, const PackedWeight& wp,
   if (scratch == nullptr) qws.emplace(static_cast<size_t>(d.n * qplane));
   uint8_t* q = reinterpret_cast<uint8_t*>(
       scratch != nullptr ? static_cast<void*>(scratch) : qws->data());
-  // Per channel plane: its max|x| (a large single sample still scans in
-  // parallel), then the sample's scale, then the bordered byte plane.
-  const int64_t planes = d.n * d.cin, hw = d.h * d.w;
-  runtime::FloatWorkspace ws(static_cast<size_t>(planes + d.n * (1 + d.cout)));
-  float* plane_max = ws.data();
-  float* inv = plane_max + planes;
-  float* scales = inv + d.n;
-  runtime::parallel_for(planes, [&](int64_t p0, int64_t p1) {
-    for (int64_t p = p0; p < p1; ++p) plane_max[p] = max_abs(x + p * hw, hw);
-  });
-  const float* rs = wp.row_scales();
-  for (int64_t s = 0; s < d.n; ++s) {
-    const float amax = max_abs(plane_max + s * d.cin, d.cin);
-    inv[s] = amax > 0.f ? 127.f / amax : 0.f;
-    const float bs = amax / 127.f;
-    for (int64_t i = 0; i < d.cout; ++i) scales[s * d.cout + i] = rs[i] * bs;
-  }
-  runtime::parallel_for(planes, [&](int64_t p0, int64_t p1) {
-    for (int64_t p = p0; p < p1; ++p) {
-      quantize_plane_u8(x + p * hw, d.h, d.w, padding, inv[p / d.cin],
-                        q + p * qh * qw);
-    }
-  });
+  runtime::FloatWorkspace scales(static_cast<size_t>(d.n * d.cout));
+  quantize_samples(wp, x, d.n, d.cin, d.h, d.w, padding, q, scales.data());
   const int64_t blocks = gemm_col_blocks(l, ep.nc);
   runtime::parallel_for(d.n * blocks, [&](int64_t t0, int64_t t1) {
     for (int64_t t = t0; t < t1; ++t) {
@@ -403,7 +413,7 @@ void conv2d_int8_run(const ConvDims& d, const PackedWeight& wp,
       const I8Source src =
           pointwise ? I8Source::dense(qs, l)
                     : I8Source{qs, d.kh, d.kw, qh, qw, stride, d.ow};
-      gemm_col_block_i8(wp, src, scales + s * d.cout, l, t % blocks,
+      gemm_col_block_i8(wp, src, scales.data() + s * d.cout, l, t % blocks,
                         out + s * d.cout * l, bias, ep);
     }
   });
@@ -470,69 +480,144 @@ void conv2d_prepacked_run(const ConvDims& d, const PackedWeight& wp,
   });
 }
 
-/// The conv_transpose2d_prepacked compute body: per-sample GEMM into a
-/// pooled column buffer, zero-filled output, col2im scatter, then bias.
-/// The explicit zero fill makes the core safe over arena buffers (the op
-/// walk relied on freshly zero-initialized Tensors). At int8 each sample's
-/// input is quantized once into a dense [cin x l] byte copy, held in
-/// @p scratch on replay and leased on the op walk.
+/// A transposed conv's band holds at least this many input rows; fewer
+/// would recompute too much halo (DOINN's 4x4 s2 p1 reads one extra input
+/// row on each side of a band).
+constexpr int64_t kMinBandRows = 8;
+/// Column tile budget per band, in floats (256 KB): a plane whose whole
+/// tile fits runs as one band.
+constexpr int64_t kBandTileFloats = int64_t{64} << 10;
+
+/// Writes one output row from its stride phases: o[t*stride + r] =
+/// acc[r*pitch + t] + bv. Stride 2, DOINN's, gets a loop the compiler
+/// vectorizes as an interleaving store.
+void store_phases(const float* __restrict acc, int64_t pitch, int64_t stride,
+                  int64_t ow, float bv, float* __restrict o) {
+  if (stride == 2) {
+    const float* __restrict odd = acc + pitch;
+    const int64_t pairs = ow / 2;
+    for (int64_t t = 0; t < pairs; ++t) {
+      o[2 * t] = acc[t] + bv;
+      o[2 * t + 1] = odd[t] + bv;
+    }
+    if (ow % 2 != 0) o[ow - 1] = acc[pairs] + bv;
+    return;
+  }
+  for (int64_t r = 0; r < stride; ++r) {
+    for (int64_t t = 0, x = r; x < ow; ++t, x += stride) {
+      o[x] = acc[r * pitch + t] + bv;
+    }
+  }
+}
+
+/// The conv_transpose2d_prepacked compute body, as (sample, output-row
+/// band) tasks. A task GEMMs the input rows its band reads, W^T x over
+/// columns [ya*w, yb*w), into a leased cout*kh*kw x (yb - ya)*w column
+/// tile, then gathers each output pixel's taps from the tile: per output
+/// row and stride phase, the taps of a phase are contiguous runs of the
+/// tile, summed in ascending (ki, kj) order from 0.f, and the bias comes
+/// last. That is the per-pixel order of the col2im scatter into a
+/// zero-filled plane followed by a bias pass (training's conv_transpose2d),
+/// so the bits are the same; a tap that leaves the plane is skipped. The
+/// GEMM's per-element arithmetic does not depend on the column range, so
+/// neither do the tile's values. At int8 every sample is quantized once
+/// (quantize_samples) before the fan-out, into @p scratch on replay and a
+/// lease on the op walk. The band height comes from the geometry alone, so
+/// NodeTuning::nc is not read.
 void conv_transpose2d_prepacked_run(const ConvDims& d, const PackedWeight& wp,
                                     const float* x, const float* bias,
                                     int64_t stride, int64_t padding,
-                                    const NodeTuning* tuning, float* scratch,
-                                    float* out) {
-  const int64_t ckk = d.cout * d.kh * d.kw;
+                                    float* scratch, float* out) {
+  const int64_t k = d.kh;
+  const int64_t ckk = d.cout * k * k;
   const int64_t l = d.h * d.w;
   const int64_t plane = d.oh * d.ow;
-  GemmEpilogue ep;
-  if (tuning != nullptr) ep.nc = tuning->nc;
-  const int64_t blocks = gemm_col_blocks(l, ep.nc);
-  runtime::FloatWorkspace col(static_cast<size_t>(ckk * l));
   const bool int8 = wp.precision() == Precision::kInt8;
   std::optional<runtime::FloatWorkspace> scales;
   std::optional<runtime::Int8Workspace> qws;
   uint8_t* q = nullptr;
   if (int8) {
-    scales.emplace(static_cast<size_t>(ckk));
-    if (scratch == nullptr) qws.emplace(static_cast<size_t>(d.cin * l));
+    if (scratch == nullptr) qws.emplace(static_cast<size_t>(d.n * d.cin * l));
     q = reinterpret_cast<uint8_t*>(
         scratch != nullptr ? static_cast<void*>(scratch) : qws->data());
+    scales.emplace(static_cast<size_t>(d.n * ckk));
+    quantize_samples(wp, x, d.n, d.cin, d.h, d.w, 0, q, scales->data());
   }
-  std::fill(out, out + d.n * d.cout * plane, 0.f);
-  for (int64_t s = 0; s < d.n; ++s) {
-    const float* xs = x + s * d.cin * l;
-    if (int8) {
-      const float amax = max_abs(xs, d.cin * l);
-      const float bs = amax / 127.f;
-      const float* rs = wp.row_scales();
-      for (int64_t i = 0; i < ckk; ++i) scales->data()[i] = rs[i] * bs;
-      quantize_plane_u8(xs, 1, d.cin * l, 0, amax > 0.f ? 127.f / amax : 0.f,
-                        q);
-    }
-    runtime::parallel_for(blocks, [&](int64_t b0, int64_t b1) {
-      for (int64_t blk = b0; blk < b1; ++blk) {
+  // Output rows per band: kMinBandRows or more input rows' worth, or the
+  // whole plane when its tile fits the budget.
+  const int64_t band_rows =
+      ckk * l <= kBandTileFloats
+          ? d.oh
+          : std::max(kMinBandRows, kBandTileFloats / (ckk * d.w)) * stride;
+  const int64_t bands = (d.oh + band_rows - 1) / band_rows;
+  // Per stride phase r, the output columns X = r + stride*t: t < pitch for
+  // the first `full` phases, t < pitch - 1 for the rest.
+  const int64_t pitch = (d.ow + stride - 1) / stride;
+  const int64_t full = d.ow - (pitch - 1) * stride;
+  // Tap kj reaches phase r = (kj - padding) mod stride, at input column
+  // ix = bx + t; both step without a division as kj grows (r0, bx0: kj 0).
+  const int64_t r0 = (stride - padding % stride) % stride;
+  const int64_t bx0 = (r0 + padding) / stride;
+  runtime::parallel_for(d.n * bands, [&](int64_t t0, int64_t t1) {
+    for (int64_t task = t0; task < t1; ++task) {
+      const int64_t s = task / bands;
+      const int64_t y0 = task % bands * band_rows;
+      const int64_t y1 = std::min(y0 + band_rows, d.oh);
+      // Input rows iy with iy*stride + ki - padding in [y0, y1) for some
+      // ki: [ya, yb).
+      const int64_t lo = y0 + padding - (k - 1);
+      const int64_t ya = lo > 0 ? (lo + stride - 1) / stride : 0;
+      const int64_t yb = std::min(d.h, (y1 - 1 + padding) / stride + 1);
+      const int64_t n = std::max<int64_t>(yb - ya, 0) * d.w;
+      runtime::FloatWorkspace ws(
+          static_cast<size_t>(ckk * n + stride * pitch));
+      float* tile = ws.data();
+      float* acc = tile + ckk * n;
+      // Channel c of input row ya sits at (s * cin + c) * l + ya * w.
+      const int64_t at = s * d.cin * l + ya * d.w;
+      const int64_t blocks = gemm_col_blocks(n);
+      for (int64_t blk = 0; blk < blocks; ++blk) {
         if (int8) {
-          // Bias is applied after col2im (it belongs to the scattered
-          // output plane, not the column matrix).
-          gemm_col_block_i8(wp, I8Source::dense(q, l), scales->data(), l, blk,
-                            col.data(), /*bias=*/nullptr, ep);
+          gemm_col_block_i8(wp, I8Source::dense(q + at, l),
+                            scales->data() + s * ckk, n, blk, tile,
+                            /*bias=*/nullptr);
         } else {
           gemm_col_block(wp.fp32_view(),
-                         StridedBPacker(xs, l, /*transposed=*/false), l, blk,
-                         col.data(), ep);
+                         StridedBPacker(x + at, l, /*transposed=*/false), n,
+                         blk, tile);
         }
       }
-    });
-    col2im(col.data(), d.cout, d.oh, d.ow, d.kh, stride, padding,
-           out + s * d.cout * plane);
-    if (bias != nullptr) {
-      for (int64_t c = 0; c < d.cout; ++c) {
-        float* p = out + (s * d.cout + c) * plane;
-        const float bv = bias[c];
-        for (int64_t i = 0; i < plane; ++i) p[i] += bv;
+      for (int64_t oy = y0; oy < y1; ++oy) {
+        // The taps of output row oy: ki = ki0, ki0 + stride, ... reading
+        // input rows iy0, iy0 - 1, ...
+        const int64_t ki0 = (oy + padding) % stride;
+        const int64_t iy0 = (oy + padding) / stride;
+        for (int64_t co = 0; co < d.cout; ++co) {
+          std::fill(acc, acc + stride * pitch, 0.f);
+          for (int64_t ki = ki0, iy = iy0; ki < k && iy >= 0;
+               ki += stride, --iy) {
+            if (iy >= d.h) continue;
+            const float* trow = tile + (co * k + ki) * k * n + (iy - ya) * d.w;
+            for (int64_t kj = 0, r = r0, bx = bx0; kj < k; ++kj) {
+              const int64_t ta = std::max<int64_t>(0, -bx);
+              const int64_t tb = std::min(r < full ? pitch : pitch - 1,
+                                          d.w - bx);
+              const float* __restrict src = trow + kj * n + bx;
+              float* __restrict a = acc + r * pitch;
+              for (int64_t t = ta; t < tb; ++t) a[t] += src[t];
+              if (++r == stride) {
+                r = 0;
+                --bx;
+              }
+            }
+          }
+          const float bv = bias != nullptr ? bias[co] : 0.f;
+          store_phases(acc, pitch, stride, d.ow, bv,
+                       out + (s * d.cout + co) * plane + oy * d.ow);
+        }
       }
     }
-  }
+  });
 }
 
 }  // namespace
@@ -965,24 +1050,23 @@ Variable conv_transpose2d_prepacked(
   Tensor out({d.n, d.cout, d.oh, d.ow});
   conv_transpose2d_prepacked_run(d, *wp, x.value().data(),
                                  has_bias ? b.value().data() : nullptr, stride,
-                                 padding, /*tuning=*/nullptr,
-                                 /*scratch=*/nullptr, out.data());
+                                 padding, /*scratch=*/nullptr, out.data());
   Variable out_v(std::move(out));
   if (GraphRecorder* rec = active_recorder()) {
     auto tuning = std::make_shared<NodeTuning>();
     if (wp->precision() == Precision::kInt8) {
-      // One sample's quantized input at a time (bytes).
-      tuning->scratch_floats = (d.cin * d.h * d.w + 3) / 4;
+      // Every sample's quantized input (bytes).
+      tuning->scratch_floats = (d.n * d.cin * d.h * d.w + 3) / 4;
     }
     Tensor bias_t = has_bias ? b.value() : Tensor();
     std::shared_ptr<const PackedWeight> pack = wp;
     CaptureNode& node = rec->record(
         "conv_transpose2d", {x}, {out_v},
-        [d, pack, bias_t, stride, padding, tuning](const ReplayIO& io) {
+        [d, pack, bias_t, stride, padding](const ReplayIO& io) {
           conv_transpose2d_prepacked_run(
               d, *pack, io.in(0),
               bias_t.numel() > 0 ? bias_t.data() : nullptr, stride, padding,
-              tuning.get(), io.scratch, io.out(0));
+              io.scratch, io.out(0));
         });
     node.tuning = tuning;
     node.conv.valid = true;

@@ -95,8 +95,10 @@ Variable batch_norm2d(const Variable& x, const Variable& gamma,
 // -- im2col helpers ------------------------------------------------------------
 // The conv ops no longer materialize columns (the GEMM engine gathers them
 // implicitly through BPanelPacker); im2col stays as the reference
-// formulation paired with col2im, which the backward passes still use to
-// scatter input gradients.
+// formulation paired with col2im, which conv2d's input gradient and the
+// training conv_transpose2d forward still use to scatter columns. The
+// prepacked conv_transpose2d gathers each output pixel's taps from one row
+// band's column tile instead, in col2im's per-pixel order.
 
 /// Unfolds one sample plane [C,H,W] into columns [C*k*k, L] with the given
 /// stride/padding; L = out_h*out_w.

@@ -372,7 +372,7 @@ namespace {
 // count: the width is bitwise-neutral, so sharing one decision across
 // engines with different pool widths costs nothing and keeps every engine
 // in a process on the identical plan.
-using TuneKey = std::tuple<bool, int, int64_t, int64_t, int64_t, int64_t>;
+using TuneKey = std::tuple<int, int64_t, int64_t, int64_t, int64_t>;
 
 // Wall-clock budget for the autotune pass, per executor build.
 constexpr int64_t kAutotuneBudgetMs = 250;
@@ -398,10 +398,14 @@ void GraphExecutor::autotune() {
   for (size_t si = 0; si < schedule_.size(); ++si) {
     ag::CaptureNode& node =
         graph_->nodes[static_cast<size_t>(schedule_[si])];
-    if (!node.conv.valid || node.tuning == nullptr) continue;
+    // A transposed conv's band height comes from its geometry: it reads no
+    // column-block width.
+    if (!node.conv.valid || node.conv.transposed || node.tuning == nullptr) {
+      continue;
+    }
 
-    const TuneKey key{node.conv.transposed, static_cast<int>(node.conv.prec),
-                      node.conv.m, node.conv.k, node.conv.l, node.conv.batch};
+    const TuneKey key{static_cast<int>(node.conv.prec), node.conv.m,
+                      node.conv.k, node.conv.l, node.conv.batch};
     {
       std::lock_guard<std::mutex> lock(tune_mutex);
       auto it = tune_cache().find(key);

@@ -18,9 +18,10 @@
 //              intermediates share memory. A node's scratch
 //              (NodeTuning::scratch_floats) is planned as a slot that
 //              lives only while the node runs.
-//   autotune — time the bitwise-neutral GEMM column-block width per conv
-//              node against real arena buffers and bake the winner into the
-//              node's NodeTuning.
+//   autotune — time the bitwise-neutral GEMM column-block width per
+//              non-transposed conv node against real arena buffers and bake
+//              the winner into the node's NodeTuning (a transposed conv's
+//              row bands come from its geometry).
 //   replay   — run(ctx): iterate live nodes calling their closures against
 //              prebuilt pointer tables. Steady-state replays perform zero
 //              heap allocations (contexts are pooled, and each keeps the

@@ -131,6 +131,7 @@ std::vector<T> LeaseCache::acquire(size_t min_size) {
   const size_t want = next_pow2(std::max<size_t>(min_size, 1));
   std::vector<T> buf = take_smallest_fit(list<T>(), want);
   if (buf.capacity() == 0) {
+    drawn_bytes_ += want * sizeof(T);
     return BasicWorkspacePool<T>::instance().acquire(min_size);
   }
   bytes_ -= buf.capacity() * sizeof(T);

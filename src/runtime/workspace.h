@@ -97,6 +97,10 @@ class LeaseCache {
   /// cache would exceed kMaxCachedBytes.
   template <typename T>
   void release(std::vector<T> buf);
+  /// Bytes of the size classes its acquires drew from the pools because no
+  /// cached buffer fit, over the cache's lifetime: on a fresh cache, an
+  /// upper bound on the scratch the thread's leases asked for at once.
+  size_t drawn_bytes() const { return drawn_bytes_; }
 
  private:
   template <typename T>
@@ -107,6 +111,7 @@ class LeaseCache {
              std::vector<std::vector<float>>, std::vector<std::vector<int8_t>>>
       lists_;
   size_t bytes_ = 0;  // capacity held in lists_
+  size_t drawn_bytes_ = 0;
 };
 
 /// Routes the calling thread's leases to @p cache (nullptr: the pools) for

@@ -23,6 +23,8 @@
 #include "runtime/engine.h"
 #include "runtime/graph_exec.h"
 #include "runtime/metrics_registry.h"
+#include "runtime/trace.h"
+#include "runtime/workspace.h"
 #include "tensor/prepack.h"
 #include "test_util.h"
 
@@ -380,6 +382,143 @@ TEST(GraphExec, PrepackedConvMatchesTrainingConvOnWalkAndReplay) {
       }
     }
   }
+}
+
+// Training's conv_transpose2d (a full column buffer scattered by col2im into
+// a zero-filled plane, then a bias pass) is the reference: the op walk and
+// the executor replay of conv_transpose2d_prepacked, which GEMM one output
+// row band at a time into a column tile and gather each pixel's taps,
+// must match it bitwise. Shapes cover DOINN's 4x4 s2 p1, a stride-1 3x3,
+// a tap-disjoint 2x2 s2 and an odd-output 3x3 s2. Height 1 runs as one
+// band, 9 as one or two, 300 as several, the last one ragged at most
+// widths. The second replay runs on a stale arena.
+TEST(GraphExec, PrepackedTransposedConvMatchesTrainingConvOnWalkAndReplay) {
+  struct Shape {
+    int64_t k, stride, padding;
+  };
+  auto rng = test::rng(63);
+  const int64_t cin = 3, cout = 5;
+  for (const Shape sh : {Shape{4, 2, 1}, Shape{3, 1, 1}, Shape{2, 2, 0},
+                         Shape{3, 2, 1}}) {
+    const ag::Variable w(Tensor::randn({cin, cout, sh.k, sh.k}, rng), false);
+    const ag::Variable b(Tensor::randn({cout}, rng), false);
+    const auto wp = std::make_shared<const PackedWeight>(
+        GemmLayout::kTN, w.value().data(), cout * sh.k * sh.k, cin,
+        Precision::kFp32);
+    auto prepacked = [&](const ag::Variable& x) {
+      return ag::conv_transpose2d_prepacked(x, w, wp, b, sh.stride,
+                                            sh.padding);
+    };
+    for (int threads : {1, 3}) {
+      runtime::ThreadPool pool(threads);
+      runtime::ScopedPool scope(&pool);
+      for (int64_t n : {1, 2}) {
+        for (int64_t h : {1, 9, 300}) {
+          for (int64_t wd : {1, 7, 16, 33, 64, 256}) {
+            const std::string where =
+                "k " + std::to_string(sh.k) + " s " +
+                std::to_string(sh.stride) + " p " +
+                std::to_string(sh.padding) + " threads " +
+                std::to_string(threads) + " n " + std::to_string(n) + " " +
+                std::to_string(h) + "x" + std::to_string(wd);
+            ag::NoGradGuard no_grad;
+            auto graph = runtime::capture_graph(
+                Tensor::rand({n, cin, h, wd}, rng), prepacked);
+            runtime::ExecutorOptions eo;
+            eo.autotune = false;
+            runtime::GraphExecutor exec(std::move(graph), eo);
+            for (int rep = 0; rep < 2; ++rep) {
+              const ag::Variable x(Tensor::randn({n, cin, h, wd}, rng), false);
+              const Tensor ref =
+                  ag::conv_transpose2d(x, w, b, sh.stride, sh.padding)
+                      .value();
+              EXPECT_TRUE(bitwise_equal(prepacked(x).value(), ref))
+                  << "op walk " << where;
+              auto ctx = exec.acquire();
+              auto spare = exec.acquire();  // rep 1 replays on a used arena
+              std::copy(x.value().data(), x.value().data() + x.value().numel(),
+                        ctx->input(0));
+              exec.run(*ctx);
+              ASSERT_EQ(ctx->output_numel(0), ref.numel()) << where;
+              EXPECT_EQ(std::memcmp(ctx->output(0), ref.data(),
+                                    sizeof(float) *
+                                        static_cast<size_t>(ref.numel())),
+                        0)
+                  << "replay " << where << " rep " << rep;
+              exec.release(std::move(spare));
+              exec.release(std::move(ctx));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// A transposed conv holds one band's column tile, not a column buffer for
+// the whole plane: the 512 px ir.dconv3 shape (12 -> 4 channels, 4x4 s2
+// p1 over a 256^2 input), whose full buffer is 16 MiB, draws at most
+// 1 MiB of scratch.
+TEST(GraphExec, TransposedConvScratchIsOneBandTile) {
+  auto rng = test::rng(64);
+  const int64_t cin = 12, cout = 4, k = 4;
+  const ag::Variable w(Tensor::randn({cin, cout, k, k}, rng), false);
+  const ag::Variable b(Tensor::randn({cout}, rng), false);
+  const auto wp = std::make_shared<const PackedWeight>(
+      GemmLayout::kTN, w.value().data(), cout * k * k, cin, Precision::kFp32);
+  const ag::Variable x(Tensor::randn({1, cin, 256, 256}, rng), false);
+  runtime::ThreadPool pool(1);  // every lease on this thread
+  runtime::ScopedPool scope(&pool);
+  // A pooled buffer over the cache's byte budget would not stay cached, and
+  // every band would draw again.
+  runtime::FloatWorkspacePool::instance().clear();
+  runtime::LeaseCache cache;
+  {
+    runtime::ScopedLeaseCache leases(&cache);
+    ag::NoGradGuard no_grad;
+    ag::conv_transpose2d_prepacked(x, w, wp, b, 2, 1);
+  }
+  EXPECT_GT(cache.drawn_bytes(), 0u);
+  EXPECT_LE(cache.drawn_bytes(), size_t{1} << 20);
+}
+
+// The autotuner times the column-block width of non-transposed convs only:
+// a transposed conv's row bands come from its geometry. Shapes no other
+// test tunes keep the process-wide tune cache from answering instead.
+TEST(GraphExec, AutotuneTimesNoTransposedConv) {
+  auto rng = test::rng(65);
+  const int64_t cin = 6, mid = 7, cout = 5;
+  const ag::Variable wt(Tensor::randn({cin, mid, 4, 4}, rng), false);
+  const ag::Variable bt(Tensor::randn({mid}, rng), false);
+  const auto wpt = std::make_shared<const PackedWeight>(
+      GemmLayout::kTN, wt.value().data(), mid * 16, cin, Precision::kFp32);
+  const ag::Variable wc(Tensor::randn({cout, mid, 3, 3}, rng), false);
+  const ag::Variable bc(Tensor::randn({cout}, rng), false);
+  const auto wpc = std::make_shared<const PackedWeight>(
+      GemmLayout::kNN, wc.value().data(), cout, mid * 9, Precision::kFp32);
+  auto graph = runtime::capture_graph(
+      Tensor::rand({1, cin, 20, 20}, rng), [&](const ag::Variable& x) {
+        return ag::conv2d_prepacked(
+            ag::conv_transpose2d_prepacked(x, wt, wpt, bt, 2, 1), wc, wpc,
+            bc, 1, 1);
+      });
+  runtime::trace::reset();
+  runtime::trace::set_enabled(true);
+  runtime::ExecutorOptions eo;
+  eo.autotune = true;
+  runtime::GraphExecutor exec(std::move(graph), eo);
+  runtime::trace::set_enabled(false);
+  int transposed = 0, plain = 0;
+  for (const runtime::trace::ThreadEvents& te : runtime::trace::snapshot()) {
+    for (const runtime::trace::Event& e : te.events) {
+      if (std::string(e.name) != "exec.autotune.choice") continue;
+      transposed += e.aval[0] == mid * 16;  // arg 0 is the GEMM's m
+      plain += e.aval[0] == cout;
+    }
+  }
+  runtime::trace::reset();
+  EXPECT_EQ(plain, 1);
+  EXPECT_EQ(transposed, 0);
 }
 
 // An fp32 conv gathers from a leased band, not from arena scratch: a plan

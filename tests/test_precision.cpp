@@ -549,32 +549,39 @@ TEST(QuantConv, Int8ConvsBitwiseMatchNaiveReference) {
     };
     for (int64_t width : {8, 12, 16, 24, 128, 130}) {
       if (cc.cin > 3 && width > 12) continue;  // the deep case stays small
-      for (int64_t batch : {1, 3}) {
-        const Tensor x = Tensor::randn({batch, cc.cin, width, width}, rng);
-        const Tensor want =
-            cc.transposed ? conv_transpose2d_int8_reference(x, *pw, bias, cc)
-                          : conv2d_int8_reference(x, *pw, bias, cc);
-        for (int threads : {1, 3}) {
-          SCOPED_TRACE(::testing::Message()
-                       << "k " << cc.k << " stride " << cc.stride
-                       << (cc.transposed ? " transposed" : "") << " cin "
-                       << cc.cin << " width " << width << " batch " << batch
-                       << " threads " << threads);
-          runtime::ThreadPool pool(threads);
-          runtime::ScopedPool scope(&pool);
-          const Tensor walk = conv(ag::Variable(x)).value();
-          EXPECT_TRUE(bytes_equal(walk, want));
-          const std::shared_ptr<ag::CapturedGraph> g = runtime::capture_graph(
-              x, [&](const ag::Variable& v) { return conv(v); });
-          runtime::GraphExecutor exec(g);
-          std::unique_ptr<runtime::ExecContext> ctx = exec.acquire();
-          std::copy(x.data(), x.data() + x.numel(), ctx->input(0));
-          exec.run(*ctx);
-          ASSERT_EQ(ctx->output_numel(0), want.numel());
-          EXPECT_EQ(std::memcmp(ctx->output(0), want.data(),
-                                sizeof(float) * want.numel()),
-                    0);
-          exec.release(std::move(ctx));
+      // Transposed convs run in output row bands: heights 9 and 300 (one
+      // band or several, the last one ragged) beside the square planes.
+      std::vector<int64_t> heights = {width};
+      if (cc.transposed) heights.insert(heights.end(), {9, 300});
+      for (int64_t height : heights) {
+        for (int64_t batch : {1, 3}) {
+          const Tensor x = Tensor::randn({batch, cc.cin, height, width}, rng);
+          const Tensor want =
+              cc.transposed ? conv_transpose2d_int8_reference(x, *pw, bias, cc)
+                            : conv2d_int8_reference(x, *pw, bias, cc);
+          for (int threads : {1, 3}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "k " << cc.k << " stride " << cc.stride
+                         << (cc.transposed ? " transposed" : "") << " cin "
+                         << cc.cin << " " << height << "x" << width
+                         << " batch " << batch << " threads " << threads);
+            runtime::ThreadPool pool(threads);
+            runtime::ScopedPool scope(&pool);
+            const Tensor walk = conv(ag::Variable(x)).value();
+            EXPECT_TRUE(bytes_equal(walk, want));
+            const std::shared_ptr<ag::CapturedGraph> g =
+                runtime::capture_graph(
+                    x, [&](const ag::Variable& v) { return conv(v); });
+            runtime::GraphExecutor exec(g);
+            std::unique_ptr<runtime::ExecContext> ctx = exec.acquire();
+            std::copy(x.data(), x.data() + x.numel(), ctx->input(0));
+            exec.run(*ctx);
+            ASSERT_EQ(ctx->output_numel(0), want.numel());
+            EXPECT_EQ(std::memcmp(ctx->output(0), want.data(),
+                                  sizeof(float) * want.numel()),
+                      0);
+            exec.release(std::move(ctx));
+          }
         }
       }
     }
